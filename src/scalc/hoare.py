@@ -6,17 +6,22 @@ every successor of every P-state satisfies Q (termination not required).
 Both are decided by direct enumeration, scanning initial states in index
 order so the reported counterexample is always the one with the smallest
 initial index (ties broken by smallest final index).
+
+`check_total` and `check_partial` read a denoted relation.  `verify` needs
+no relation: it walks the program forward from the precondition's states
+only, and evaluates the postcondition only on the finals it reaches.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import SpaceMismatchError
-from .predicates import PredExpr, PredSet, pred_to_set
-from .semantics import Relation, denote
+from .predicates import PredExpr, PredSet, eval_pred, pred_to_set
+from .semantics import Relation, denote, successors
 from .state_space import State, StateSpace, index_to_state
 from .syntax import Stmt
 
@@ -123,11 +128,16 @@ class Report:
 
     mode: str
     verdict: Verdict
-    wp_size: int
     space: StateSpace
     pre: PredExpr
     post: PredExpr
     program: Stmt
+
+    @cached_property
+    def wp_size(self) -> int:
+        """Number of states in wp(program, post).  It denotes the whole
+        program over the whole space, so it is computed only when read."""
+        return wp(denote(self.program, self.space), pred_to_set(self.post, self.space)).count()
 
     def to_json_dict(self) -> dict:
         cx = self.verdict.counterexample
@@ -151,20 +161,39 @@ class Report:
 
 
 def verify(program: Stmt, pre: PredExpr, post: PredExpr, mode: str, space: StateSpace) -> Report:
-    """Denote the program and decide the triple in the requested mode."""
+    """Decide the triple in the requested mode, with the same verdict,
+    counterexample and counts as `check_total`/`check_partial` over
+    `denote(program, space)`, exploring only from the precondition's states."""
     if mode not in ("total", "partial"):
         raise ValueError(f"mode must be 'total' or 'partial', got {mode!r}")
-    relation = denote(program, space)
     p = pred_to_set(pre, space)
-    q = pred_to_set(post, space)
-    if mode == "total":
-        verdict = check_total(p, relation, q)
-    else:
-        verdict = check_partial(p, relation, q)
+    finals_of = successors(program, space)
+    good: dict[int, bool] = {}  # post at each final reached so far
+    start = time.perf_counter()
+    states = 0
+    pairs = 0
+    cx = None
+    for i in p.indices():
+        states += 1
+        finals = finals_of(i)
+        pairs += len(finals)
+        if not finals and mode == "total":
+            cx = Counterexample(NO_SUCCESSOR, index_to_state(space, i), None, i, None)
+            break
+        for j in finals:
+            ok = good.get(j)
+            if ok is None:
+                ok = good[j] = eval_pred(post, index_to_state(space, j))
+            if not ok:
+                kind = BAD_SUCCESSOR if mode == "total" else PARTIAL_VIOLATION
+                cx = Counterexample(kind, index_to_state(space, i), index_to_state(space, j), i, j)
+                break
+        if cx is not None:
+            break
+    stats = CheckStats(states, pairs, time.perf_counter() - start)
     return Report(
         mode=mode,
-        verdict=verdict,
-        wp_size=wp(relation, q).count(),
+        verdict=Verdict(cx is None, cx, stats),
         space=space,
         pre=pre,
         post=post,

@@ -292,6 +292,16 @@ class PredSet:
     def indices(self) -> Iterator[int]:
         """Member indices in increasing order."""
         m = self.mask
+        if m.bit_length() > 64:
+            # one pass over the binary digits, lowest first: peeling bits
+            # off a large mask would copy the whole int for every member
+            digits = bin(m)[:1:-1]
+            i = digits.find("1")
+            while i >= 0:
+                yield i
+                i = digits.find("1", i + 1)
+            return
+        # on the law suite's masks of a few bits, peeling costs half as much
         while m:
             low = m & -m
             yield low.bit_length() - 1

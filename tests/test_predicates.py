@@ -222,3 +222,9 @@ class TestPredSet:
     def test_indices_ascending(self):
         s = PredSet(8, 0b10110010)
         assert list(s.indices()) == [1, 4, 5, 7]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 300), st.data())
+    def test_indices_are_the_members_in_order(self, size, data):
+        s = PredSet(size, data.draw(st.integers(0, 2**size - 1)))
+        assert list(s.indices()) == [i for i in range(size) if i in s]
