@@ -14,7 +14,6 @@ only, and evaluates the postcondition only on the finals it reaches.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -43,7 +42,6 @@ class Counterexample:
 class CheckStats:
     states_checked: int
     pairs_checked: int
-    wall_time_s: float
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,6 @@ def _require_compatible(p: PredSet, s: Relation, q: PredSet):
 def check_total(p: PredSet, s: Relation, q: PredSet) -> Verdict:
     """Every P-state must have a successor, and only Q-successors."""
     _require_compatible(p, s, q)
-    start = time.perf_counter()
     states = 0
     pairs = 0
     cx = None
@@ -82,14 +79,13 @@ def check_total(p: PredSet, s: Relation, q: PredSet) -> Verdict:
                 BAD_SUCCESSOR, index_to_state(s.space, i), index_to_state(s.space, j), i, j
             )
             break
-    stats = CheckStats(states, pairs, time.perf_counter() - start)
+    stats = CheckStats(states, pairs)
     return Verdict(cx is None, cx, stats)
 
 
 def check_partial(p: PredSet, s: Relation, q: PredSet) -> Verdict:
     """Successors of P-states must satisfy Q; successor-free states are fine."""
     _require_compatible(p, s, q)
-    start = time.perf_counter()
     states = 0
     pairs = 0
     cx = None
@@ -104,7 +100,7 @@ def check_partial(p: PredSet, s: Relation, q: PredSet) -> Verdict:
                 PARTIAL_VIOLATION, index_to_state(s.space, i), index_to_state(s.space, j), i, j
             )
             break
-    stats = CheckStats(states, pairs, time.perf_counter() - start)
+    stats = CheckStats(states, pairs)
     return Verdict(cx is None, cx, stats)
 
 
@@ -169,7 +165,6 @@ def verify(program: Stmt, pre: PredExpr, post: PredExpr, mode: str, space: State
     p = pred_to_set(pre, space)
     finals_of = successors(program, space)
     good: dict[int, bool] = {}  # post at each final reached so far
-    start = time.perf_counter()
     states = 0
     pairs = 0
     cx = None
@@ -190,7 +185,7 @@ def verify(program: Stmt, pre: PredExpr, post: PredExpr, mode: str, space: State
                 break
         if cx is not None:
             break
-    stats = CheckStats(states, pairs, time.perf_counter() - start)
+    stats = CheckStats(states, pairs)
     return Report(
         mode=mode,
         verdict=Verdict(cx is None, cx, stats),

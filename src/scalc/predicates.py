@@ -2,17 +2,21 @@
 
 Arithmetic is exact 64-bit signed: any intermediate outside
 [-2^63, 2^63) evaluates to the UNDEFINED sentinel, and a comparison with an
-UNDEFINED operand is false.  A predicate applied pointwise to every state of
-a space yields a PredSet, an immutable bitmask subset of state indices.
+UNDEFINED operand is false.  A predicate read over a space yields a PredSet,
+an immutable bitmask subset of state indices.  `pred_to_set` builds it with
+mask operations: the connectives combine whole masks, and each atom is
+evaluated once per valuation of the variables it reads, then repeated along
+the strides of the variables it does not read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterator, Optional, Union
 
 from .errors import SourceSpan
-from .state_space import State, StateSpace, index_to_state
+from .state_space import State, StateSpace
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -309,9 +313,63 @@ class PredSet:
 
 
 def pred_to_set(p: PredExpr, space: StateSpace) -> PredSet:
-    """Pointwise evaluation of p over every state of the space."""
-    mask = 0
-    for i in range(space.size):
-        if eval_pred(p, index_to_state(space, i)):
-            mask |= 1 << i
-    return PredSet(space.size, mask)
+    """The states of the space that satisfy p, the same set as evaluating p
+    on every state with `eval_pred`, and raising where that would raise."""
+    full = (1 << space.size) - 1
+    return PredSet(space.size, _mask(p, space, full, full))
+
+
+def _mask(p: PredExpr, space: StateSpace, care: int, full: int) -> int:
+    """A mask that agrees with p on the states in `care`.  A right operand
+    is read only where `eval_pred` would reach it, and a sub-predicate that
+    no care state reaches is not evaluated at all."""
+    if not care:
+        return 0
+    if isinstance(p, BoolConst):
+        return full if p.value else 0
+    if isinstance(p, (Cmp, InDomain)):
+        return _atom_mask(p, space)
+    if isinstance(p, Not):
+        return full ^ _mask(p.operand, space, care, full)
+    if not isinstance(p, (And, Or, Implies, Iff)):
+        raise TypeError(f"not a predicate expression: {p!r}")
+    left = _mask(p.left, space, care, full)
+    if isinstance(p, And):
+        return left & _mask(p.right, space, care & left, full)
+    if isinstance(p, Or):
+        return left | _mask(p.right, space, care & ~left, full)
+    if isinstance(p, Implies):
+        return (full ^ left) | _mask(p.right, space, care & left, full)
+    return full ^ left ^ _mask(p.right, space, care, full)
+
+
+def _reads(e) -> set[str]:
+    """The variables an atom or an arithmetic expression reads."""
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, InDomain):
+        return {e.var}
+    return set().union(*(_reads(c) for c in vars(e).values() if isinstance(c, ArithExpr)))
+
+
+def _atom_mask(p: PredExpr, space: StateSpace) -> int:
+    """Evaluate the atom once per valuation of the variables it reads, then
+    widen that table to the whole space, one bit character per state."""
+    universe = space.universe
+    read = sorted(universe.position(name) for name in _reads(p))
+    values = [dom.values[0] for _, dom in universe.vars]
+    blocks = []
+    for valuation in product(*(universe.vars[k][1].values for k in read)):
+        for k, v in zip(read, valuation):
+            values[k] = v
+        blocks.append("1" if eval_pred(p, State(universe, tuple(values))) else "0")
+    # from the fastest variable outwards: a variable the atom reads joins
+    # each run of consecutive blocks, one block per value; any other
+    # variable repeats every block once per value
+    for k in reversed(range(len(universe))):
+        d = universe.vars[k][1].size
+        if k in read:
+            blocks = ["".join(blocks[g : g + d]) for g in range(0, len(blocks), d)]
+        else:
+            blocks = [b * d for b in blocks]
+    return int(blocks[0][::-1], 2)

@@ -165,9 +165,3 @@ def state_to_index(space: StateSpace, state: State) -> int:
     for (_, dom), stride, value in zip(space.universe.vars, space.strides, state.values):
         index += dom.position(value) * stride
     return index
-
-
-def all_states(space: StateSpace):
-    """Iterate states in index order."""
-    for i in range(space.size):
-        yield index_to_state(space, i)

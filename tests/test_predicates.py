@@ -4,11 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalc import predicates
 from scalc.errors import UnknownVariableError
+from scalc.hoare import verify
 from scalc.predicates import (
+    CMP_OPS,
     INT64_MAX,
+    INT64_MIN,
     UNDEFINED,
     Add,
+    ArithExpr,
     And,
     BoolConst,
     Cmp,
@@ -20,6 +25,7 @@ from scalc.predicates import (
     Neg,
     Not,
     Or,
+    PredExpr,
     PredSet,
     Sub,
     Var,
@@ -34,6 +40,7 @@ from scalc.state_space import (
     index_to_state,
     int_range_domain,
 )
+from scalc.syntax import parse_pred, parse_program
 
 
 def inf_space():
@@ -54,6 +61,23 @@ def state_of(space, **values):
     for name, v in values.items():
         s = s.updated(name, v)
     return s
+
+
+def pointwise_pred_to_set(p, space):
+    """The reference for `pred_to_set`: evaluate p on every state."""
+    mask = 0
+    for i in range(space.size):
+        if eval_pred(p, index_to_state(space, i)):
+            mask |= 1 << i
+    return PredSet(space.size, mask)
+
+
+def nodes(e):
+    """e and every predicate or arithmetic node below it."""
+    yield e
+    for child in vars(e).values():
+        if isinstance(child, (ArithExpr, PredExpr)):
+            yield from nodes(child)
 
 
 class TestEvalArith:
@@ -228,3 +252,159 @@ class TestPredSet:
     def test_indices_are_the_members_in_order(self, size, data):
         s = PredSet(size, data.draw(st.integers(0, 2**size - 1)))
         assert list(s.indices()) == [i for i in range(size) if i in s]
+
+
+# values at and next to both ends of the 64-bit range, so that sums,
+# differences, products and negations of them leave it (UNDEFINED)
+EDGE_VALUES = (INT64_MIN, INT64_MIN + 1, -2, -1, 0, 1, 3, INT64_MAX - 1, INT64_MAX)
+
+
+def random_universe(rng):
+    names = rng.sample(("a", "b", "c", "d"), rng.randrange(5))
+    return VarUniverse(
+        tuple((n, Domain(n, tuple(sorted(rng.sample(EDGE_VALUES, rng.randint(1, 3)))))) for n in names)
+    )
+
+
+def random_arith(rng, names, depth):
+    if depth == 0 or rng.random() < 0.35:
+        if names and rng.random() < 0.6:
+            return Var(rng.choice(names))
+        return Const(rng.choice(EDGE_VALUES))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Neg(random_arith(rng, names, depth - 1))
+    return (Add, Sub, Mul)[kind - 1](random_arith(rng, names, depth - 1), random_arith(rng, names, depth - 1))
+
+
+def random_full_pred(rng, names, depth):
+    """Every connective, InDomain and BoolConst over arithmetic atoms;
+    `names` may hold a variable that is not in the universe."""
+    if depth == 0 or rng.random() < 0.25:
+        r = rng.random()
+        if r < 0.15:
+            return BoolConst(rng.random() < 0.5)
+        if r < 0.3 and names:
+            return InDomain(rng.choice(names))
+        return Cmp(rng.choice(CMP_OPS), random_arith(rng, names, 2), random_arith(rng, names, 2))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Not(random_full_pred(rng, names, depth - 1))
+    ctor = (And, Or, Implies, Iff)[kind - 1]
+    return ctor(random_full_pred(rng, names, depth - 1), random_full_pred(rng, names, depth - 1))
+
+
+def outcome(to_set, p, space):
+    try:
+        return to_set(p, space)
+    except UnknownVariableError:
+        return "unknown variable"
+
+
+def has_undefined_operand(p, space):
+    return any(
+        eval_arith(side, index_to_state(space, i)) is UNDEFINED
+        for node in nodes(p)
+        if isinstance(node, Cmp)
+        for side in (node.left, node.right)
+        if all(n.name in space.universe for n in nodes(side) if isinstance(n, Var))
+        for i in range(space.size)
+    )
+
+
+class TestPredToSetDifferential:
+    """`pred_to_set` combines masks; the pointwise loop is the oracle."""
+
+    def test_random_predicates_over_random_universes(self):
+        rng = random.Random(0xB175)
+        seen = {kind: 0 for kind in (Not, And, Or, Implies, Iff, InDomain, BoolConst, Cmp)}
+        seen.update({"one-point space": 0, "undefined": 0, "raises": 0, "unknown unreached": 0})
+        for trial in range(800):
+            universe = random_universe(rng)
+            space = build_space(universe)
+            names = universe.names + (("zz",) if rng.random() < 0.3 else ())
+            p = random_full_pred(rng, names, rng.randrange(1, 5))
+            want = outcome(pointwise_pred_to_set, p, space)
+            assert outcome(pred_to_set, p, space) == want, f"trial {trial}: {p!r} over {universe.names}"
+            for kind in {type(node) for node in nodes(p)} & set(seen):
+                seen[kind] += 1
+            seen["one-point space"] += space.size == 1
+            if want == "unknown variable":
+                seen["raises"] += 1
+            else:
+                seen["unknown unreached"] += any(isinstance(n, Var) and n.name == "zz" for n in nodes(p))
+                seen["undefined"] += has_undefined_operand(p, space)
+        assert min(seen.values()) >= 10, seen
+
+    def test_an_unreached_unknown_variable_raises_nothing(self):
+        sp = inf_space()
+        cases = (("false && zz == 1", 0), ("true || zz == 1", sp.size), ("i > 7 && (zz == 1 <-> i == zz)", 0))
+        for text, members in cases:
+            p = parse_pred(text, declared=("i", "n", "f", "zz"))
+            assert pred_to_set(p, sp) == pointwise_pred_to_set(p, sp)
+            assert pred_to_set(p, sp).count() == members
+
+    def test_a_reached_unknown_variable_raises_on_both_sides(self):
+        sp = inf_space()
+        for text in ("true && zz == 1", "i == 3 && zz == 1", "!(zz < 0)", "i < 7 -> zz == 1 || i == 0"):
+            p = parse_pred(text, declared=("i", "n", "f", "zz"))
+            for to_set in (pointwise_pred_to_set, pred_to_set):
+                with pytest.raises(UnknownVariableError):
+                    to_set(p, sp)
+
+
+@pytest.fixture
+def atom_evaluations(monkeypatch):
+    """Every call of `eval_pred` that `pred_to_set` makes.  The guard and
+    postcondition calls of `semantics` and `hoare` use their own binding of
+    `eval_pred` and are not recorded."""
+    calls = []
+
+    def counting(p, state):
+        calls.append(p)
+        return eval_pred(p, state)
+
+    monkeypatch.setattr(predicates, "eval_pred", counting)
+    return calls
+
+
+def domain_product(space, atom):
+    size = 1
+    for name in {n.name for n in nodes(atom) if isinstance(n, Var)}:
+        size *= space.universe.domain(name).size
+    return size
+
+
+class TestPredToSetWork:
+    """Each atom is evaluated once per valuation of its own variables."""
+
+    def test_a_box_costs_the_domains_of_its_atoms(self, atom_evaluations):
+        sp = inf_space()
+        pre = parse_pred("i == 2 && n == 4 && f >= 1 && f <= 3", declared=("i", "n", "f"))
+        got = pred_to_set(pre, sp)
+        evaluations = len(atom_evaluations)
+        budget = sum(domain_product(sp, node) for node in nodes(pre) if isinstance(node, Cmp))
+        assert budget == 8 + 8 + 32 + 32
+        assert evaluations <= budget
+        assert got == pointwise_pred_to_set(pre, sp)
+
+    def test_narrow_verify_on_a_million_states(self, atom_evaluations):
+        names = ("i", "n", "f")
+        space = build_space(
+            VarUniverse(
+                (
+                    ("i", int_range_domain("i", 0, 7)),
+                    ("n", int_range_domain("n", 0, 7)),
+                    ("f", int_range_domain("f", 0, 16383)),
+                )
+            )
+        )
+        assert space.size == 1 << 20
+        program = parse_program("while (i <= n) { f *= i; i++; }", predeclared=names)
+        pre = parse_pred("i == 2 && n == 5 && f >= 1 && f <= 3", declared=names)
+        post = parse_pred("f >= 120", declared=names)  # f is 120, 240 or 360
+        report = verify(program, pre, post, "total", space).to_json_dict()
+        assert report["holds"] and report["counterexample"] is None
+        assert report["stats"] == {"states_checked": 3, "pairs_checked": 3}
+        assert len(atom_evaluations) <= 8 + 8 + 2 * 16384  # pointwise: 4 << 20
+        assert set(atom_evaluations) <= set(nodes(pre))

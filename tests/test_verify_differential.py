@@ -1,7 +1,8 @@
 """`verify` explores forward from the precondition's states only; the
 relational path it replaced stays here as the oracle: denote the whole
-program, then `check_total`/`check_partial` over the relation.  Both must
-print the same report: verdict, counterexample and stats."""
+program, then `check_total`/`check_partial` over the relation, with P and
+Q evaluated state by state.  Both must print the same report: verdict,
+counterexample and stats."""
 
 import random
 from pathlib import Path
@@ -9,12 +10,13 @@ from pathlib import Path
 import pytest
 
 from scalc.hoare import Report, check_partial, check_total, verify
-from scalc.predicates import BoolConst, Cmp, Const, Mul, Var, pred_to_set
+from scalc.predicates import BoolConst, Cmp, Const, Mul, Var
 from scalc.semantics import denote, successors
 from scalc.specfile import load_task
 from scalc.state_space import Domain, VarUniverse, build_space, int_range_domain
 from scalc.syntax import Assign, Decl, Seq, Stmt, While, parse_pred, parse_program, pretty_print
 
+from test_predicates import pointwise_pred_to_set
 from test_syntax import random_cond, random_stmt
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
@@ -38,7 +40,7 @@ def space_abc():
 def assert_same_reports(program, pre, post, space, label=""):
     """verify against the oracle in both modes; returns the oracle's inputs."""
     relation = denote(program, space)
-    p, q = pred_to_set(pre, space), pred_to_set(post, space)
+    p, q = pointwise_pred_to_set(pre, space), pointwise_pred_to_set(post, space)
     for mode, check in (("total", check_total), ("partial", check_partial)):
         want = Report(mode, check(p, relation, q), space, pre, post, program)
         got = verify(program, pre, post, mode, space)
