@@ -28,7 +28,6 @@ from .laws import (
     LawInstance,
     LawResult,
     check_law,
-    check_t_schema,
     random_predset,
     random_relation,
     registered_laws,
@@ -70,7 +69,6 @@ __all__ = [
     "LawInstance",
     "LawResult",
     "check_law",
-    "check_t_schema",
     "random_predset",
     "random_relation",
     "registered_laws",

@@ -7,9 +7,11 @@ Both are decided by direct enumeration, scanning initial states in index
 order so the reported counterexample is always the one with the smallest
 initial index (ties broken by smallest final index).
 
-`check_total` and `check_partial` read a denoted relation.  `verify` needs
-no relation: it walks the program forward from the precondition's states
-only, and evaluates the postcondition only on the finals it reaches.
+A program's meaning comes from one place, `semantics.successors`.
+`check_total`, `check_partial` and `wp` read the relation that `denote`
+tabulates from it for every state.  `verify` needs no relation: it asks
+`successors` about the precondition's states only, and evaluates the
+postcondition only on the finals it reaches.
 """
 
 from __future__ import annotations

@@ -660,18 +660,6 @@ def check_law(
     return LawResult(law.name, count, tuple(violations))
 
 
-def check_t_schema(
-    name: str,
-    trials: int = DEFAULT_TRIALS,
-    sizes: tuple[int, ...] = DEFAULT_SIZES,
-    seed: int = DEFAULT_SEED,
-) -> LawResult:
-    """check_law restricted to the quantifier schema catalog."""
-    if name not in T_TEMPLATES:
-        raise UnknownLawError(name)
-    return check_law(name, trials=trials, sizes=sizes, seed=seed)
-
-
 def run_laws(
     names=None,
     trials: int = DEFAULT_TRIALS,

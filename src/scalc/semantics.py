@@ -1,11 +1,11 @@
-"""Relational denotations of statements over a finite state space.
+"""Relational semantics of statements over a finite state space.
 
-A statement denotes a relation S between initial and final states.  The
-representation keeps, for every initial state index, a bitmask over final
-state indices.  Key conventions:
+A statement denotes a relation S between initial and final states.
+`successors` defines it one initial state at a time, walking the program
+forward from that state only.  Key conventions:
 
 * An assignment whose right-hand side is UNDEFINED (64-bit overflow) or
-  falls outside the target variable's domain contributes *no* pair for that
+  falls outside the target variable's domain has *no* successor from that
   initial state.  Absence of successors is how abortion shows up.
 * A declaration is havoc: every value of the variable's domain is a
   successor, everything else unchanged.
@@ -14,25 +14,17 @@ state indices.  Key conventions:
   immediately relates to itself (zero iterations).  States from which no
   such chain exists (divergence) get no successors.
 
-`denote` builds the whole relation.  `successors` gives the same rows one
-initial state at a time, walking the program forward from that state only.
+`denote` tabulates those rows for every state of the space as a `Relation`,
+one bitmask of final indices per initial index, for `wp` and
+`dump-relation`; the law suite builds its relations directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
-from .errors import SpaceMismatchError
-from .predicates import (
-    ArithExpr,
-    PredExpr,
-    PredSet,
-    UNDEFINED,
-    eval_arith,
-    eval_pred,
-    pred_to_set,
-)
+from .predicates import PredExpr, PredSet, UNDEFINED, eval_arith, eval_pred
 from .state_space import State, StateSpace, index_to_state
 from .syntax import (
     Assign,
@@ -86,11 +78,6 @@ class Relation:
         return PredSet(self.space.size, mask)
 
 
-def _require_same_space(a: Relation, b: Relation):
-    if a.space != b.space:
-        raise SpaceMismatchError("relations are over different state spaces")
-
-
 def empty_relation(space: StateSpace) -> Relation:
     return Relation(space, (0,) * space.size)
 
@@ -104,142 +91,6 @@ def full_relation(space: StateSpace) -> Relation:
     return Relation(space, (full,) * space.size)
 
 
-def denote_nop(space: StateSpace) -> Relation:
-    return identity_relation(space)
-
-
-def _assign_step(
-    var: str, expr: ArithExpr, space: StateSpace, state_at: Callable[[int], State]
-) -> Callable[[int], Optional[int]]:
-    """The successor index of `var = expr` from a state index, or None
-    (stuck) where the value is UNDEFINED or outside the variable's domain."""
-    pos = space.universe.position(var)
-    dom = space.universe.vars[pos][1]
-    stride = space.strides[pos]
-
-    def step(i: int) -> Optional[int]:
-        value = eval_arith(expr, state_at(i))
-        if value is UNDEFINED or value not in dom:
-            return None
-        return i + (dom.position(value) - i // stride % dom.size) * stride
-
-    return step
-
-
-def _decl_step(var: str, space: StateSpace) -> Callable[[int], range]:
-    """The havoc successors of a state index, in increasing order: every
-    value of `var`, all other variables unchanged."""
-    pos = space.universe.position(var)
-    stride = space.strides[pos]
-    dsize = space.universe.vars[pos][1].size
-
-    def step(i: int) -> range:
-        base = i - i // stride % dsize * stride
-        return range(base, base + dsize * stride, stride)
-
-    return step
-
-
-def denote_assign(var: str, expr: ArithExpr, space: StateSpace) -> Relation:
-    step = _assign_step(var, expr, space, lambda i: index_to_state(space, i))
-    succ = []
-    for i in range(space.size):
-        j = step(i)
-        succ.append(0 if j is None else 1 << j)
-    return Relation(space, tuple(succ))
-
-
-def denote_decl(var: str, space: StateSpace) -> Relation:
-    step = _decl_step(var, space)
-    succ = []
-    for i in range(space.size):
-        mask = 0
-        for j in step(i):
-            mask |= 1 << j
-        succ.append(mask)
-    return Relation(space, tuple(succ))
-
-
-def denote_seq(r1: Relation, r2: Relation) -> Relation:
-    """Relational composition: first r1, then r2."""
-    _require_same_space(r1, r2)
-    succ = []
-    for m in r1.succ:
-        out = 0
-        while m:
-            low = m & -m
-            out |= r2.succ[low.bit_length() - 1]
-            m ^= low
-        succ.append(out)
-    return Relation(r1.space, tuple(succ))
-
-
-def denote_ite(b: PredExpr, r1: Relation, r2: Relation) -> Relation:
-    _require_same_space(r1, r2)
-    succ = list(r2.succ)
-    for i in pred_to_set(b, r1.space).indices():
-        succ[i] = r1.succ[i]
-    return Relation(r1.space, tuple(succ))
-
-
-def denote_if(b: PredExpr, r: Relation) -> Relation:
-    succ = [1 << i for i in range(r.space.size)]
-    for i in pred_to_set(b, r.space).indices():
-        succ[i] = r.succ[i]
-    return Relation(r.space, tuple(succ))
-
-
-def denote_while(b: PredExpr, body: Relation) -> Relation:
-    """Least fixpoint of the guarded chain construction.
-
-    succ[i] starts as {i} where the guard is false and grows by one body
-    step per pass; a pass that changes nothing means every finite exit
-    chain has been accounted for.
-    """
-    space = body.space
-    heads = list(pred_to_set(b, space).indices())
-    succ = [1 << i for i in range(space.size)]
-    for i in heads:
-        succ[i] = 0
-    changed = True
-    while changed:
-        changed = False
-        for i in heads:
-            m = body.succ[i]
-            out = 0
-            while m:
-                low = m & -m
-                out |= succ[low.bit_length() - 1]
-                m ^= low
-            if out | succ[i] != succ[i]:
-                succ[i] |= out
-                changed = True
-    return Relation(space, tuple(succ))
-
-
-def denote(stmt: Stmt, space: StateSpace) -> Relation:
-    """Denotation of a whole statement."""
-    if isinstance(stmt, Nop):
-        return denote_nop(space)
-    if isinstance(stmt, Decl):
-        return denote_decl(stmt.var, space)
-    if isinstance(stmt, Assign):
-        return denote_assign(stmt.var, stmt.expr, space)
-    if isinstance(stmt, Seq):
-        return denote_seq(denote(stmt.first, space), denote(stmt.second, space))
-    if isinstance(stmt, IfThenElse):
-        return denote_ite(
-            stmt.cond,
-            denote(stmt.then_branch, space),
-            denote(stmt.else_branch, space),
-        )
-    if isinstance(stmt, IfThen):
-        return denote_if(stmt.cond, denote(stmt.body, space))
-    if isinstance(stmt, While):
-        return denote_while(stmt.cond, denote(stmt.body, space))
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
 def relation_from_pairs(space: StateSpace, pairs) -> Relation:
     """Build a relation from explicit (initial, final) index pairs."""
     succ = [0] * space.size
@@ -250,16 +101,35 @@ def relation_from_pairs(space: StateSpace, pairs) -> Relation:
     return Relation(space, tuple(succ))
 
 
+def denote(stmt: Stmt, space: StateSpace) -> Relation:
+    """The whole relation of a statement: the rows of `successors` for
+    every state of the space."""
+    finals_of = successors(stmt, space)
+    succ = []
+    for i in range(space.size):
+        m = 0
+        for j in finals_of(i):
+            m |= 1 << j
+        succ.append(m)
+    return Relation(space, tuple(succ))
+
+
 def successors(stmt: Stmt, space: StateSpace) -> Callable[[int], tuple[int, ...]]:
-    """The forward semantics of a statement: a function from an initial
-    state index to its final indices in increasing order, the members of
-    `denote(stmt, space).successors_mask(i)`.
+    """The semantics of a statement, row by row: a function from an initial
+    state index to its final indices in increasing order.
+
+    Nop keeps the state; `var = expr` moves to the state where `var` holds
+    the value of `expr`, or nowhere when that value is UNDEFINED or outside
+    the domain of `var`; a declaration of `var` moves to every state that
+    differs at most in `var`; a branch takes the rows of the arm its guard
+    selects; a sequence takes the finals of the second part from every
+    final of the first; a loop takes the least finals described in the
+    module docstring (see `_solve_loop`).
 
     Each node is evaluated only on the states that reach it.  Assignments,
     branches and loops remember their answers by state index for as long
     as the returned function lives, so states that several paths reach are
-    evaluated once.  A loop is solved on the loop-head states reachable
-    from the state it is asked about (see `_solve_loop`).
+    evaluated once.
     """
     states: dict[int, State] = {}
 
@@ -269,6 +139,10 @@ def successors(stmt: Stmt, space: StateSpace) -> Callable[[int], tuple[int, ...]
             state = states[i] = index_to_state(space, i)
         return state
 
+    def slot(var: str):
+        pos = space.universe.position(var)
+        return space.universe.vars[pos][1], space.strides[pos]
+
     def branch(cond: PredExpr, then, orelse) -> Callable[[int], tuple[int, ...]]:
         return _memoised(lambda i: then(i) if eval_pred(cond, state_at(i)) else orelse(i))
 
@@ -276,11 +150,24 @@ def successors(stmt: Stmt, space: StateSpace) -> Callable[[int], tuple[int, ...]
         if isinstance(s, Nop):
             return lambda i: (i,)
         if isinstance(s, Decl):
-            step = _decl_step(s.var, space)
-            return lambda i: tuple(step(i))
+            dom, stride = slot(s.var)
+
+            def havoc(i: int) -> tuple[int, ...]:
+                base = i - i // stride % dom.size * stride
+                return tuple(range(base, base + dom.size * stride, stride))
+
+            return havoc
         if isinstance(s, Assign):
-            step = _assign_step(s.var, s.expr, space, state_at)
-            return _memoised(lambda i: () if (j := step(i)) is None else (j,))
+            dom, stride = slot(s.var)
+            expr = s.expr
+
+            def assign(i: int) -> tuple[int, ...]:
+                value = eval_arith(expr, state_at(i))
+                if value is UNDEFINED or value not in dom:
+                    return ()
+                return (i + (dom.position(value) - i // stride % dom.size) * stride,)
+
+            return _memoised(assign)
         if isinstance(s, Seq):
             # the parts of a sequence run in a loop, not nested calls, so
             # that a long program does not exhaust the interpreter's stack
@@ -394,13 +281,6 @@ __all__ = [
     "empty_relation",
     "identity_relation",
     "full_relation",
-    "denote_nop",
-    "denote_assign",
-    "denote_decl",
-    "denote_seq",
-    "denote_ite",
-    "denote_if",
-    "denote_while",
     "denote",
     "relation_from_pairs",
     "successors",

@@ -127,20 +127,19 @@ def seq_of(stmts: list[Stmt]) -> Stmt:
 def declared_vars(stmt: Stmt) -> list[tuple[str, str]]:
     """All (name, type) declarations in textual order, first occurrence wins."""
     seen: dict[str, str] = {}
-
-    def walk(s: Stmt):
+    # an explicit stack, not recursion, so that a long program does not
+    # exhaust the interpreter's stack; children go on it last part first
+    stack = [stmt]
+    while stack:
+        s = stack.pop()
         if isinstance(s, Decl):
             seen.setdefault(s.var, s.type_name)
         elif isinstance(s, Seq):
-            walk(s.first)
-            walk(s.second)
+            stack += (s.second, s.first)
         elif isinstance(s, IfThenElse):
-            walk(s.then_branch)
-            walk(s.else_branch)
+            stack += (s.else_branch, s.then_branch)
         elif isinstance(s, (IfThen, While)):
-            walk(s.body)
-
-    walk(stmt)
+            stack.append(s.body)
     return list(seen.items())
 
 

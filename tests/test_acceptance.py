@@ -27,15 +27,12 @@ from scalc.laws import (
     run_laws,
 )
 from scalc.predicates import BoolConst, Cmp, Const, Or, PredSet, Var, pred_to_set
-from scalc.semantics import (
-    denote,
-    denote_ite,
-    denote_seq,
-    denote_while,
-    identity_relation,
-)
+from scalc.semantics import denote
 from scalc.specfile import load_task
 from scalc.state_space import build_space
+from scalc.syntax import IfThenElse, Nop, Seq, While
+
+from test_semantics import relation_stmt
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -155,15 +152,18 @@ def test_criterion_6_loop_denotation_is_the_unrolling_fixpoint():
         b = arms[0] if arms else BoolConst(False)
         for arm in arms[1:]:
             b = Or(b, arm)
-        body = random_relation(space, rng.getrandbits(64))
-        w = denote_while(b, body)
-        unrolled = denote_ite(b, denote_seq(body, w), identity_relation(space))
-        if list(w.pairs()) != list(unrolled.pairs()):
+        # the body is a program that denotes the drawn relation
+        relation = random_relation(space, rng.getrandbits(64))
+        body = relation_stmt(relation)
+        loop = While(b, body)
+        w = denote(loop, space)
+        unrolled = denote(IfThenElse(b, Seq(body, loop), Nop()), space)
+        if denote(body, space) != relation or list(w.pairs()) != list(unrolled.pairs()):
             mismatches += 1
     _report(
         6,
         mismatches == 0,
-        f"while = if-then-else unrolling on 200 random loops up to 16 states "
+        f"while = if-then-else unrolling on 200 random loop programs up to 16 states "
         f"({mismatches} mismatches)",
     )
 

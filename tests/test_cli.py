@@ -212,6 +212,35 @@ class TestDumpRelation:
         assert out == ""
 
 
+class TestLongProgram:
+    """A program far longer than the interpreter's recursion limit."""
+
+    @pytest.fixture
+    def long_spec(self, tmp_path):
+        steps = ("a = a + 1;", "int b;", "a = a - 1;", "if (b > 1) a = a + b - b;")
+        lines = [steps[k % len(steps)] for k in range(1200)]
+        spec = tmp_path / "long.spec"
+        spec.write_text(
+            "[vars]\na: int 0..7\nb: int 0..3\n[program]\n"
+            + "\n".join(lines)
+            + "\n[pre]\na < 7\n[post]\na < 7\n"
+        )
+        return str(spec)
+
+    @pytest.mark.parametrize("command", ["verify", "wp", "dump-relation"])
+    def test_runs_without_a_traceback(self, capsys, long_spec, command):
+        code, out, err = run(capsys, command, long_spec)
+        assert code in (0, 1)
+        assert err == ""
+        if command == "dump-relation":
+            # a = 7 is stuck at the first step; every other state keeps a
+            # and ends with each value of b
+            pairs = [json.loads(line) for line in out.splitlines()]
+            assert pairs == [[4 * a + b, 4 * a + c] for a in range(7) for b in range(4) for c in range(4)]
+        else:
+            json.loads(out)
+
+
 class TestMaxStates:
     def test_flag_limits_space(self, capsys):
         code, _, err = run(capsys, "verify", EX41, "--max-states", "10")

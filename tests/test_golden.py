@@ -1,0 +1,66 @@
+"""The CLI's stdout bytes and exit codes on every `specs/` file, pinned.
+
+`tests/golden/<spec>.<command>.out` holds the stdout of one command and
+`tests/golden/exit_codes.json` its exit code.  A change that alters any of
+them on purpose regenerates the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and the diff shows what moved.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from scalc.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+SPECS = sorted((ROOT / "specs").glob("*.spec"))
+COMMANDS = {
+    "verify-total": ["verify", "--mode", "total"],
+    "verify-partial": ["verify", "--mode", "partial"],
+    "wp": ["wp", "--limit", "10"],
+    "dump-relation": ["dump-relation"],
+}
+CASES = [(spec, command) for spec in SPECS for command in COMMANDS]
+
+
+def run_cli(spec: Path, command: str) -> tuple[int, bytes]:
+    argv = COMMANDS[command][:1] + [str(spec)] + COMMANDS[command][1:]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue().encode()
+
+
+def golden_name(spec: Path, command: str) -> str:
+    return f"{spec.stem}.{command}.out"
+
+
+@pytest.mark.parametrize(
+    "spec,command", CASES, ids=[golden_name(spec, command) for spec, command in CASES]
+)
+def test_cli_output_matches_golden(spec, command):
+    code, out = run_cli(spec, command)
+    name = golden_name(spec, command)
+    assert out == (GOLDEN / name).read_bytes()
+    assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+
+
+def regenerate():
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for spec, command in CASES:
+        name = golden_name(spec, command)
+        codes[name], out = run_cli(spec, command)
+        (GOLDEN / name).write_bytes(out)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()

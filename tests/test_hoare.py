@@ -8,7 +8,6 @@ from scalc.predicates import PredSet, pred_to_set
 from scalc.semantics import (
     Relation,
     denote,
-    denote_nop,
     empty_relation,
     full_relation,
     identity_relation,
@@ -62,7 +61,7 @@ class TestCheckTotal:
         sp = ex_space()
         p = PredSet.from_indices(3, (0,))  # a=5
         q = PredSet.from_indices(3, (1,))  # a=10
-        v = check_total(p, denote_nop(sp), q)
+        v = check_total(p, identity_relation(sp), q)
         assert v.counterexample.kind == "BadSuccessor"
         assert v.counterexample.initial.as_dict() == {"a": 5}
         assert v.counterexample.witness_final.as_dict() == {"a": 5}
@@ -95,7 +94,7 @@ class TestCheckPartial:
         sp = ex_space()
         p = PredSet.from_indices(3, (0,))
         q = PredSet.from_indices(3, (1,))
-        v = check_partial(p, denote_nop(sp), q)
+        v = check_partial(p, identity_relation(sp), q)
         assert not v.holds
         assert v.counterexample.kind == "PartialViolation"
         assert v.counterexample.initial.as_dict() == {"a": 5}

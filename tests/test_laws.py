@@ -9,7 +9,6 @@ from scalc.laws import (
     T_TEMPLATES,
     abstract_space,
     check_law,
-    check_t_schema,
     exhaustive_binding_count,
     get_law,
     random_predset,
@@ -45,8 +44,7 @@ class TestRegistry:
 
     def test_t_schema_catalog_is_separate(self):
         assert "t1" in T_TEMPLATES and "t22" in T_TEMPLATES
-        with pytest.raises(UnknownLawError):
-            check_t_schema("thm3.5")
+        assert "thm3.5" in LAWS and "thm3.5" not in T_TEMPLATES
 
     def test_every_law_has_a_title(self):
         for law in LAWS.values():
@@ -121,13 +119,13 @@ class TestDeterminism:
 
 class TestSchemas:
     def test_instantiation_schema(self):
-        assert check_t_schema("t2", trials=50, sizes=(1, 2, 3)).ok
+        assert check_law("t2", trials=50, sizes=(1, 2, 3)).ok
 
     def test_vacuous_domain_schema(self):
-        assert check_t_schema("t6", trials=50, sizes=(1, 2, 3)).ok
+        assert check_law("t6", trials=50, sizes=(1, 2, 3)).ok
 
     def test_quantifier_exchange_schema(self):
-        assert check_t_schema("t12", trials=50, sizes=(1, 2, 3)).ok
+        assert check_law("t12", trials=50, sizes=(1, 2, 3)).ok
 
 
 class TestExhaustiveCounting:

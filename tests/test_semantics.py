@@ -5,26 +5,23 @@ import pytest
 from scalc.errors import SpaceMismatchError
 from scalc.hoare import check_total
 from scalc.predicates import (
+    UNDEFINED,
     Add,
     BoolConst,
     Cmp,
     Const,
     InDomain,
     Mul,
+    Not,
+    Or,
     PredSet,
     Var,
+    eval_arith,
     pred_to_set,
 )
 from scalc.semantics import (
     Relation,
     denote,
-    denote_assign,
-    denote_decl,
-    denote_if,
-    denote_ite,
-    denote_nop,
-    denote_seq,
-    denote_while,
     empty_relation,
     full_relation,
     identity_relation,
@@ -38,7 +35,155 @@ from scalc.state_space import (
     int_range_domain,
     state_to_index,
 )
-from scalc.syntax import parse_pred, parse_program
+from scalc.syntax import (
+    Assign,
+    Decl,
+    IfThen,
+    IfThenElse,
+    Nop,
+    Seq,
+    Stmt,
+    While,
+    parse_pred,
+    parse_program,
+)
+
+from test_predicates import pointwise_pred_to_set
+
+# ---------------------------------------------------------------------------
+# The oracle: scalc's semantics before `denote` became a tabulation of
+# `successors`.  Each statement's whole relation is built from its parts'
+# relations, and a loop is a Kleene iteration over every guard state.
+
+
+def _require_same_space(a: Relation, b: Relation):
+    if a.space != b.space:
+        raise SpaceMismatchError("relations are over different state spaces")
+
+
+def relational_assign(var, expr, space):
+    dom = space.universe.vars[space.universe.position(var)][1]
+    succ = []
+    for i in range(space.size):
+        state = index_to_state(space, i)
+        value = eval_arith(expr, state)
+        if value is UNDEFINED or value not in dom:
+            succ.append(0)
+        else:
+            succ.append(1 << state_to_index(space, state.updated(var, value)))
+    return Relation(space, tuple(succ))
+
+
+def relational_decl(var, space):
+    dom = space.universe.vars[space.universe.position(var)][1]
+    succ = []
+    for i in range(space.size):
+        state = index_to_state(space, i)
+        mask = 0
+        for value in dom.values:
+            mask |= 1 << state_to_index(space, state.updated(var, value))
+        succ.append(mask)
+    return Relation(space, tuple(succ))
+
+
+def relational_seq(r1, r2):
+    """Relational composition: first r1, then r2."""
+    _require_same_space(r1, r2)
+    succ = []
+    for m in r1.succ:
+        out = 0
+        while m:
+            low = m & -m
+            out |= r2.succ[low.bit_length() - 1]
+            m ^= low
+        succ.append(out)
+    return Relation(r1.space, tuple(succ))
+
+
+def relational_ite(b, r1, r2):
+    _require_same_space(r1, r2)
+    succ = list(r2.succ)
+    for i in pointwise_pred_to_set(b, r1.space).indices():
+        succ[i] = r1.succ[i]
+    return Relation(r1.space, tuple(succ))
+
+
+def relational_if(b, r):
+    succ = [1 << i for i in range(r.space.size)]
+    for i in pointwise_pred_to_set(b, r.space).indices():
+        succ[i] = r.succ[i]
+    return Relation(r.space, tuple(succ))
+
+
+def relational_while(b, body):
+    """Least fixpoint of the guarded chain construction: succ[i] starts as
+    {i} where the guard is false and grows by one body step per pass; a
+    pass that changes nothing means every finite exit chain is counted."""
+    space = body.space
+    heads = list(pointwise_pred_to_set(b, space).indices())
+    succ = [1 << i for i in range(space.size)]
+    for i in heads:
+        succ[i] = 0
+    changed = True
+    while changed:
+        changed = False
+        for i in heads:
+            m = body.succ[i]
+            out = 0
+            while m:
+                low = m & -m
+                out |= succ[low.bit_length() - 1]
+                m ^= low
+            if out | succ[i] != succ[i]:
+                succ[i] |= out
+                changed = True
+    return Relation(space, tuple(succ))
+
+
+def relational_denote(stmt: Stmt, space) -> Relation:
+    if isinstance(stmt, Nop):
+        return identity_relation(space)
+    if isinstance(stmt, Decl):
+        return relational_decl(stmt.var, space)
+    if isinstance(stmt, Assign):
+        return relational_assign(stmt.var, stmt.expr, space)
+    if isinstance(stmt, Seq):
+        return relational_seq(relational_denote(stmt.first, space), relational_denote(stmt.second, space))
+    if isinstance(stmt, IfThenElse):
+        return relational_ite(
+            stmt.cond,
+            relational_denote(stmt.then_branch, space),
+            relational_denote(stmt.else_branch, space),
+        )
+    if isinstance(stmt, IfThen):
+        return relational_if(stmt.cond, relational_denote(stmt.body, space))
+    if isinstance(stmt, While):
+        return relational_while(stmt.cond, relational_denote(stmt.body, space))
+    raise TypeError(f"not a statement: {stmt!r}")
+
+
+# ---------------------------------------------------------------------------
+
+
+def relation_stmt(relation: Relation) -> Stmt:
+    """A statement that denotes `relation`, over a space of one variable v.
+
+    Row i becomes `if (v == vi) { int v; if (!(v == vj1 || ...)) v = out; }`
+    with the rows chained through the else arms: havoc, then an assignment
+    outside the domain, which is stuck, from every value not in the row.
+    An empty row is `!false`, so every value is stuck.
+    """
+    ((var, dom),) = relation.space.universe.vars
+    outside = Const(dom.values[-1] + 1)
+    out: Stmt = Nop()
+    for i in reversed(range(dom.size)):
+        arms = [Cmp("==", Var(var), Const(v)) for j, v in enumerate(dom.values) if relation.has_pair(i, j)]
+        row = arms[0] if arms else BoolConst(False)
+        for arm in arms[1:]:
+            row = Or(row, arm)
+        body = Seq(Decl(var, "int"), IfThen(Not(row), Assign(var, outside)))
+        out = IfThenElse(Cmp("==", Var(var), Const(dom.values[i])), body, out)
+    return out
 
 
 def space_a3():
@@ -74,21 +219,30 @@ def random_rel(space, rng):
     )
 
 
+def test_relation_stmt_denotes_its_relation():
+    rng = random.Random(4)
+    for space in (space_a3(), build_space(VarUniverse((("a", int_range_domain("a", 0, 5)),)))):
+        for _ in range(30):
+            r = random_rel(space, rng)
+            assert denote(relation_stmt(r), space) == r
+            assert relational_denote(relation_stmt(r), space) == r
+
+
 class TestNop:
     def test_identity_pairs(self):
         sp = space_a3()
-        assert list(denote_nop(sp).pairs()) == [(0, 0), (1, 1), (2, 2)]
+        assert list(denote(Nop(), sp).pairs()) == [(0, 0), (1, 1), (2, 2)]
 
     def test_preserves_everything(self):
         sp = space_a3()
-        v = check_total(full_set(sp), denote_nop(sp), full_set(sp))
+        v = check_total(full_set(sp), denote(Nop(), sp), full_set(sp))
         assert v.holds
 
     def test_identity_pair_fails_changed_postcondition(self):
         sp = space_a3()
         p = singleton(sp, a=5)
         q = singleton(sp, a=10)
-        v = check_total(p, denote_nop(sp), q)
+        v = check_total(p, denote(Nop(), sp), q)
         assert not v.holds
         assert v.counterexample.initial.as_dict() == {"a": 5}
 
@@ -96,13 +250,13 @@ class TestNop:
 class TestAssign:
     def test_constant_assignment_targets_one_state(self):
         sp = space_a3()
-        r = denote_assign("a", Const(5), sp)
+        r = denote(Assign("a", Const(5)), sp)
         target = state_to_index(sp, index_to_state(sp, 0).updated("a", 5))
         assert list(r.pairs()) == [(i, target) for i in range(3)]
 
     def test_factorial_step(self):
         sp = loop_space()
-        r = denote_assign("f", Mul(Var("f"), Var("i")), sp)
+        r = denote(Assign("f", Mul(Var("f"), Var("i"))), sp)
         start = singleton(sp, i=2, n=4, f=1)
         (i0,) = start.indices()
         (j,) = (j for _, j in r.pairs() if _ == i0)
@@ -110,13 +264,21 @@ class TestAssign:
 
     def test_out_of_domain_result_has_no_successor(self):
         sp = build_space(VarUniverse((("i", int_range_domain("i", 0, 7)),)))
-        r = denote_assign("i", Add(Var("i"), Const(1)), sp)
+        r = denote(Assign("i", Add(Var("i"), Const(1))), sp)
         assert r.successors_mask(7) == 0
         assert r.successors_mask(3) == 1 << 4
 
+    def test_overflow_has_no_successor(self):
+        sp = build_space(VarUniverse((("i", int_range_domain("i", -2, 2)),)))
+        r = denote(Assign("i", Mul(Var("i"), Const(1 << 62))), sp)
+        # i * 2^62 overflows 64 bits at i == 2 and leaves the domain at every
+        # other value but 0
+        assert [i for i in range(sp.size) if r.successors_mask(i)] == [2]
+        assert r.successors_mask(2) == 1 << 2
+
     def test_frame_condition(self):
         sp = loop_space()
-        r = denote_assign("i", Const(0), sp)
+        r = denote(Assign("i", Const(0)), sp)
         for i, j in r.pairs():
             before = index_to_state(sp, i).as_dict()
             after = index_to_state(sp, j).as_dict()
@@ -128,25 +290,25 @@ class TestAssign:
 class TestDecl:
     def test_havoc_fan_out(self):
         sp = space_a3()
-        r = denote_decl("a", sp)
+        r = denote(Decl("a", "int"), sp)
         for i in range(sp.size):
             assert bin(r.successors_mask(i)).count("1") == 3
 
     def test_establishes_domain_membership(self):
         sp = space_a3()
-        v = check_total(full_set(sp), denote_decl("a", sp), pred_to_set(InDomain("a"), sp))
+        v = check_total(full_set(sp), denote(Decl("a", "int"), sp), pred_to_set(InDomain("a"), sp))
         assert v.holds
 
     def test_cannot_establish_specific_value(self):
         sp = space_a3()
         q = singleton(sp, a=5)
-        v = check_total(full_set(sp), denote_decl("a", sp), q)
+        v = check_total(full_set(sp), denote(Decl("a", "int"), sp), q)
         assert not v.holds
         assert v.counterexample.kind == "BadSuccessor"
 
     def test_frame_condition(self):
         sp = loop_space()
-        r = denote_decl("i", sp)
+        r = denote(Decl("i", "int"), sp)
         for i, j in r.pairs():
             before = index_to_state(sp, i).as_dict()
             after = index_to_state(sp, j).as_dict()
@@ -157,10 +319,13 @@ class TestDecl:
 class TestIfForms:
     def test_branch_from_known_state(self):
         sp = space_a3()
-        r = denote_ite(
-            Cmp(">", Var("a"), Const(0)),
-            denote_assign("a", Const(10), sp),
-            denote_assign("a", Const(100), sp),
+        r = denote(
+            IfThenElse(
+                Cmp(">", Var("a"), Const(0)),
+                Assign("a", Const(10)),
+                Assign("a", Const(100)),
+            ),
+            sp,
         )
         (i5,) = singleton(sp, a=5).indices()
         (j,) = (j for i, j in r.pairs() if i == i5)
@@ -170,13 +335,13 @@ class TestIfForms:
         sp = space_a3()
         rng = random.Random(5)
         r1, r2 = random_rel(sp, rng), random_rel(sp, rng)
-        assert denote_ite(BoolConst(True), r1, r2) == r1
+        assert denote(IfThenElse(BoolConst(True), relation_stmt(r1), relation_stmt(r2)), sp) == r1
 
     def test_false_guard_selects_else(self):
         sp = space_a3()
         rng = random.Random(6)
         r1, r2 = random_rel(sp, rng), random_rel(sp, rng)
-        assert denote_ite(BoolConst(False), r1, r2) == r2
+        assert denote(IfThenElse(BoolConst(False), relation_stmt(r1), relation_stmt(r2)), sp) == r2
 
     def test_if_reduces_to_ite_with_nop(self):
         sp = build_space(VarUniverse((("a", int_range_domain("a", 0, 3)),)))
@@ -184,16 +349,19 @@ class TestIfForms:
         for _ in range(50):
             r = random_rel(sp, rng)
             b = Cmp(rng.choice(("<", ">=", "==")), Var("a"), Const(rng.randrange(4)))
-            assert denote_if(b, r) == denote_ite(b, r, denote_nop(sp))
+            assert relational_if(b, r) == relational_ite(b, r, identity_relation(sp))
+            body = relation_stmt(r)
+            assert denote(IfThen(b, body), sp) == denote(IfThenElse(b, body, Nop()), sp)
 
     def test_if_false_guard_is_identity(self):
         sp = space_a3()
         rng = random.Random(8)
-        assert denote_if(BoolConst(False), random_rel(sp, rng)) == identity_relation(sp)
+        body = relation_stmt(random_rel(sp, rng))
+        assert denote(IfThen(BoolConst(False), body), sp) == identity_relation(sp)
 
     def test_space_mismatch(self):
         with pytest.raises(SpaceMismatchError):
-            denote_seq(identity_relation(space_a3()), identity_relation(loop_space()))
+            relational_seq(identity_relation(space_a3()), identity_relation(loop_space()))
 
 
 class TestSeq:
@@ -201,36 +369,37 @@ class TestSeq:
         sp = space_a3()
         rng = random.Random(9)
         r = random_rel(sp, rng)
-        nop = denote_nop(sp)
-        assert denote_seq(nop, r) == r
-        assert denote_seq(r, nop) == r
+        nop = relational_denote(Nop(), sp)
+        assert relational_seq(nop, r) == r
+        assert relational_seq(r, nop) == r
 
     def test_associative(self):
         sp = build_space(VarUniverse((("a", int_range_domain("a", 0, 4)),)))
         rng = random.Random(10)
         for _ in range(50):
             r1, r2, r3 = (random_rel(sp, rng) for _ in range(3))
-            assert denote_seq(denote_seq(r1, r2), r3) == denote_seq(r1, denote_seq(r2, r3))
+            assert relational_seq(relational_seq(r1, r2), r3) == relational_seq(r1, relational_seq(r2, r3))
 
     def test_composition_follows_pairs(self):
         sp = space_a3()
         r1 = relation_from_pairs(sp, [(0, 1), (0, 2)])
         r2 = relation_from_pairs(sp, [(1, 0), (2, 2)])
-        assert list(denote_seq(r1, r2).pairs()) == [(0, 0), (0, 2)]
+        r = denote(Seq(relation_stmt(r1), relation_stmt(r2)), sp)
+        assert list(r.pairs()) == [(0, 0), (0, 2)]
 
 
 class TestWhile:
     def test_false_guard_is_identity(self):
         sp = space_a3()
         rng = random.Random(11)
-        assert denote_while(BoolConst(False), random_rel(sp, rng)) == identity_relation(sp)
+        body = relation_stmt(random_rel(sp, rng))
+        assert denote(While(BoolConst(False), body), sp) == identity_relation(sp)
 
     def test_factorial_loop_unique_outcome(self):
         sp = loop_space()
-        body = denote(
-            parse_program("f = f*i; i = i+1;", predeclared=("i", "n", "f")), sp
+        w = denote(
+            parse_program("while (i <= n) { f = f*i; i = i+1; }", predeclared=("i", "n", "f")), sp
         )
-        w = denote_while(parse_pred("i <= n", declared=("i", "n")), body)
         (start,) = singleton(sp, i=2, n=4, f=1).indices()
         finals = [j for i, j in w.pairs() if i == start]
         assert [index_to_state(sp, j).as_dict() for j in finals] == [
@@ -254,9 +423,14 @@ class TestWhile:
 
     def test_divergent_loop_has_no_successor(self):
         sp = build_space(VarUniverse((("i", int_range_domain("i", 0, 7)),)))
-        body = denote_assign("i", Add(Var("i"), Const(1)), sp)
-        w = denote_while(parse_pred("i >= 0", declared=("i",)), body)
+        w = denote(parse_program("while (i >= 0) i = i + 1;", predeclared=("i",)), sp)
         assert w.pair_count() == 0
+
+    def test_loop_without_exit_diverges(self):
+        sp = build_space(VarUniverse((("i", int_range_domain("i", 0, 7)),)))
+        w = denote(parse_program("while (i != 3) { if (i < 3) i = i + 1; else i = 7; }", predeclared=("i",)), sp)
+        # 0..2 count up to the exit at 3; 4..7 reach 7 and stay there forever
+        assert list(w.pairs()) == [(0, 3), (1, 3), (2, 3), (3, 3)]
 
     def test_exit_states_falsify_guard(self):
         sp = build_space(VarUniverse((("a", int_range_domain("a", 0, 5)),)))
@@ -264,7 +438,7 @@ class TestWhile:
         b = parse_pred("a < 3", declared=("a",))
         guard = pred_to_set(b, sp)
         for _ in range(30):
-            w = denote_while(b, random_rel(sp, rng))
+            w = denote(While(b, relation_stmt(random_rel(sp, rng))), sp)
             for _, j in w.pairs():
                 assert j not in guard
 
@@ -274,7 +448,7 @@ class TestWhile:
         b = parse_pred("a < 3", declared=("a",))
         guard = pred_to_set(b, sp)
         for _ in range(30):
-            w = denote_while(b, random_rel(sp, rng))
+            w = denote(While(b, relation_stmt(random_rel(sp, rng))), sp)
             for i in range(sp.size):
                 if i not in guard:
                     assert w.successors_mask(i) == 1 << i
@@ -284,9 +458,9 @@ class TestWhile:
         rng = random.Random(14)
         for _ in range(60):
             b = Cmp(rng.choice(("<", "<=", "==", "!=")), Var("a"), Const(rng.randrange(5)))
-            body = random_rel(sp, rng)
-            w = denote_while(b, body)
-            assert w == denote_ite(b, denote_seq(body, w), identity_relation(sp))
+            body = relation_stmt(random_rel(sp, rng))
+            loop = While(b, body)
+            assert denote(loop, sp) == denote(IfThenElse(b, Seq(body, loop), Nop()), sp)
 
 
 class TestDenoteDispatch:

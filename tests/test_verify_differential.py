@@ -1,8 +1,10 @@
-"""`verify` explores forward from the precondition's states only; the
-relational path it replaced stays here as the oracle: denote the whole
-program, then `check_total`/`check_partial` over the relation, with P and
-Q evaluated state by state.  Both must print the same report: verdict,
-counterexample and stats."""
+"""`verify` explores forward from the precondition's states only, and
+`denote` tabulates the same forward semantics for every state.  The
+relational path they replaced stays here as the oracle: the relational
+semantics of `test_semantics.relational_denote`, then
+`check_total`/`check_partial` over that relation, with P and Q evaluated
+state by state.  `verify` must print the same report: verdict,
+counterexample and stats; `denote` must build the same relation."""
 
 import random
 from pathlib import Path
@@ -17,6 +19,7 @@ from scalc.state_space import Domain, VarUniverse, build_space, int_range_domain
 from scalc.syntax import Assign, Decl, Seq, Stmt, While, parse_pred, parse_program, pretty_print
 
 from test_predicates import pointwise_pred_to_set
+from test_semantics import relational_denote
 from test_syntax import random_cond, random_stmt
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
@@ -39,7 +42,7 @@ def space_abc():
 
 def assert_same_reports(program, pre, post, space, label=""):
     """verify against the oracle in both modes; returns the oracle's inputs."""
-    relation = denote(program, space)
+    relation = relational_denote(program, space)
     p, q = pointwise_pred_to_set(pre, space), pointwise_pred_to_set(post, space)
     for mode, check in (("total", check_total), ("partial", check_partial)):
         want = Report(mode, check(p, relation, q), space, pre, post, program)
@@ -76,20 +79,50 @@ def test_random_programs_match_the_relational_check():
     assert min(seen.values()) >= 10, seen
 
 
-def test_successors_are_the_rows_of_denote():
+def diverges(loop: While, space) -> bool:
+    """Whether some state starts an endless chain of guarded body steps:
+    the greatest set of guard states with a body successor in the set."""
+    guard = pointwise_pred_to_set(loop.cond, space)
+    body = relational_denote(loop.body, space)
+    endless = guard.mask
+    while True:
+        keep = sum(1 << h for h in guard.indices() if endless >> h & 1 and body.successors_mask(h) & endless)
+        if keep == endless:
+            return endless != 0
+        endless = keep
+
+
+def loops(stmt: Stmt):
+    if isinstance(stmt, While):
+        yield stmt
+    for child in vars(stmt).values():
+        if isinstance(child, Stmt):
+            yield from loops(child)
+
+
+def test_denote_is_relational_denote():
     rng = random.Random(0x5CC)
     space = space_abc()
-    for trial in range(100):
+    seen = {"havoc": 0, "loop": 0, "divergence": 0, "stuck": 0}
+    for trial in range(250):
         program = random_stmt(rng, VARS, rng.randrange(1, 5))
-        relation = denote(program, space)
-        finals_of = successors(program, space)
+        want = relational_denote(program, space)
+        context = f"trial {trial}:\n{pretty_print(program)}"
+        assert denote(program, space) == want, context
         # a shuffled order makes loops meet states that earlier calls solved
+        finals_of = successors(program, space)
         order = list(range(space.size))
         rng.shuffle(order)
         for i in order:
-            m = relation.successors_mask(i)
-            want = tuple(j for j in range(space.size) if m >> j & 1)
-            assert finals_of(i) == want, f"trial {trial}, state {i}:\n{pretty_print(program)}"
+            m = want.successors_mask(i)
+            assert finals_of(i) == tuple(j for j in range(space.size) if m >> j & 1), f"state {i}, {context}"
+        diverging = any(diverges(loop, space) for loop in loops(program))
+        seen["havoc"] += contains(program, Decl)
+        seen["loop"] += contains(program, While)
+        seen["divergence"] += diverging
+        # with no loop that can run forever, an empty row is a stuck assignment
+        seen["stuck"] += not diverging and any(m == 0 for m in want.succ)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_loops_that_diverge_from_some_states():
