@@ -20,6 +20,7 @@ from .hoare import (
     Verdict,
     check_partial,
     check_total,
+    program_wp,
     verify,
     wp,
 )
@@ -33,7 +34,7 @@ from .laws import (
     registered_laws,
     run_laws,
 )
-from .predicates import PredSet, eval_pred, pred_to_set
+from .predicates import PredSet, compile_pred, pred_to_set
 from .semantics import Relation, denote
 from .specfile import SpecFile, SpecTask, build_task, load_spec, load_task
 from .state_space import (
@@ -63,6 +64,7 @@ __all__ = [
     "Verdict",
     "check_partial",
     "check_total",
+    "program_wp",
     "verify",
     "wp",
     "DEFAULT_SEED",
@@ -74,7 +76,7 @@ __all__ = [
     "registered_laws",
     "run_laws",
     "PredSet",
-    "eval_pred",
+    "compile_pred",
     "pred_to_set",
     "Relation",
     "denote",

@@ -14,6 +14,7 @@ inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -22,8 +23,8 @@ import sys
 from . import __version__
 from .errors import ScalcError
 from .export import export_vc
+from .hoare import program_wp
 from .hoare import verify as run_verify
-from .hoare import wp as wp_set
 from .laws import (
     DEFAULT_SEED,
     DEFAULT_SIZES,
@@ -32,8 +33,7 @@ from .laws import (
     check_law,
     registered_laws,
 )
-from .predicates import pred_to_set
-from .semantics import denote
+from .semantics import successors
 from .specfile import SpecTask, load_task
 from .state_space import DEFAULT_MAX_STATES, build_space, index_to_state
 
@@ -78,8 +78,7 @@ def cmd_wp(args) -> int:
     task = load_task(args.spec)
     _require_post(task)
     space = build_space(task.universe, _resolve_max_states(args, task))
-    relation = denote(task.program, space)
-    result = wp_set(relation, pred_to_set(task.post, space))
+    result = program_wp(task.program, task.post, space)
     shown = [
         index_to_state(space, i).as_dict()
         for i in itertools.islice(result.indices(), args.limit)
@@ -158,9 +157,10 @@ def cmd_export_smt(args) -> int:
 def cmd_dump_relation(args) -> int:
     task = load_task(args.spec)
     space = build_space(task.universe, _resolve_max_states(args, task))
-    relation = denote(task.program, space)
-    for i, j in relation.pairs():
-        print(json.dumps([i, j]))
+    finals_of = successors(task.program, space)
+    for i in range(space.size):
+        for j in finals_of(i):
+            sys.stdout.write(f"[{i}, {j}]\n")
     return 0
 
 
@@ -178,6 +178,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # parse_args leaves the parser as it found it, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scalc",
@@ -251,8 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ScalcError as exc:

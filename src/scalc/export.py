@@ -31,7 +31,7 @@ from .predicates import Implies as PImplies
 from .predicates import InDomain, Mul, Neg
 from .predicates import Not as PNot
 from .predicates import Or as POr
-from .predicates import PredExpr, Sub, Var
+from .predicates import PredExpr, Sub, Var, subexpressions
 from .syntax import (
     Assign,
     Decl,
@@ -43,6 +43,7 @@ from .syntax import (
     While,
     declared_vars,
     pretty_print,
+    statements,
 )
 
 _CMP_SMT = {
@@ -168,8 +169,11 @@ class _Encoder:
             self.env[s.var] = sym
             return
         if isinstance(s, Seq):
-            self.stmt(s.first, path)
-            self.stmt(s.second, path)
+            # the parts run in a loop, so that a long program fits the stack
+            while isinstance(s, Seq):
+                self.stmt(s.first, path)
+                s = s.second
+            self.stmt(s, path)
             return
         if isinstance(s, IfThen):
             self._branch(s.cond, s.body, None, path)
@@ -227,63 +231,20 @@ def _conj(a: str, b: str) -> str:
     return f"(and {a} {b})"
 
 
-def _nonlinear_arith(e: ArithExpr) -> bool:
-    if isinstance(e, Mul):
-        if not (isinstance(e.left, Const) or isinstance(e.right, Const)):
-            return True
-        return _nonlinear_arith(e.left) or _nonlinear_arith(e.right)
-    if isinstance(e, (Add, Sub)):
-        return _nonlinear_arith(e.left) or _nonlinear_arith(e.right)
-    if isinstance(e, Neg):
-        return _nonlinear_arith(e.operand)
-    return False
-
-
-def _nonlinear_pred(p: PredExpr) -> bool:
-    if isinstance(p, Cmp):
-        return _nonlinear_arith(p.left) or _nonlinear_arith(p.right)
-    if isinstance(p, PNot):
-        return _nonlinear_pred(p.operand)
-    if isinstance(p, (PAnd, POr, PImplies, PIff)):
-        return _nonlinear_pred(p.left) or _nonlinear_pred(p.right)
-    return False
-
-
-def _nonlinear_stmt(s: Stmt) -> bool:
-    if isinstance(s, Assign):
-        return _nonlinear_arith(s.expr)
-    if isinstance(s, Seq):
-        return _nonlinear_stmt(s.first) or _nonlinear_stmt(s.second)
-    if isinstance(s, IfThen):
-        return _nonlinear_pred(s.cond) or _nonlinear_stmt(s.body)
-    if isinstance(s, IfThenElse):
-        return (
-            _nonlinear_pred(s.cond)
-            or _nonlinear_stmt(s.then_branch)
-            or _nonlinear_stmt(s.else_branch)
-        )
-    if isinstance(s, While):
-        return _nonlinear_pred(s.cond) or _nonlinear_stmt(s.body)
-    return False
-
-
 def select_logic(program: Stmt, pre: PredExpr, post: PredExpr) -> str:
     """QF_LIA unless some multiplication has two non-constant operands."""
-    if _nonlinear_stmt(program) or _nonlinear_pred(pre) or _nonlinear_pred(post):
-        return "QF_NIA"
-    return "QF_LIA"
-
-
-def _contains_while(s: Stmt) -> bool:
-    if isinstance(s, While):
-        return True
-    if isinstance(s, Seq):
-        return _contains_while(s.first) or _contains_while(s.second)
-    if isinstance(s, IfThen):
-        return _contains_while(s.body)
-    if isinstance(s, IfThenElse):
-        return _contains_while(s.then_branch) or _contains_while(s.else_branch)
-    return False
+    exprs = [pre, post]
+    for s in statements(program):
+        if isinstance(s, Assign):
+            exprs.append(s.expr)
+        elif isinstance(s, (IfThen, IfThenElse, While)):
+            exprs.append(s.cond)
+    nonlinear = any(
+        isinstance(n, Mul) and not isinstance(n.left, Const) and not isinstance(n.right, Const)
+        for e in exprs
+        for n in subexpressions(e)
+    )
+    return "QF_NIA" if nonlinear else "QF_LIA"
 
 
 def export_vc(
@@ -307,7 +268,7 @@ def export_vc(
         raise ValueError(f"unknown mode '{mode}'")
     if unroll < 0:
         raise ValueError("unroll bound must be nonnegative")
-    has_loop = _contains_while(program)
+    has_loop = any(isinstance(s, While) for s in statements(program))
 
     all_vars = list(variables)
     known = {name for name, _ in all_vars}

@@ -7,22 +7,21 @@ Both are decided by direct enumeration, scanning initial states in index
 order so the reported counterexample is always the one with the smallest
 initial index (ties broken by smallest final index).
 
-A program's meaning comes from one place, `semantics.successors`.
-`check_total`, `check_partial` and `wp` read the relation that `denote`
-tabulates from it for every state.  `verify` needs no relation: it asks
-`successors` about the precondition's states only, and evaluates the
-postcondition only on the finals it reaches.
+`check_total`, `check_partial` and `wp` read a `Relation`, as the law
+suite builds them.  `verify` and `program_wp` read a program's one
+semantics, `semantics.successors`, row by row without a relation: `verify`
+only from the precondition's states, evaluating the postcondition only on
+the finals it reaches, and `program_wp` from every state once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from .errors import SpaceMismatchError
-from .predicates import PredExpr, PredSet, eval_pred, pred_to_set
-from .semantics import Relation, denote, successors
+from .predicates import PredExpr, PredSet, compile_pred, pred_to_set
+from .semantics import Relation, successors
 from .state_space import State, StateSpace, index_to_state
 from .syntax import Stmt
 
@@ -120,6 +119,22 @@ def wp(s: Relation, q: PredSet) -> PredSet:
     return PredSet(q.size, mask)
 
 
+def program_wp(program: Stmt, post: PredExpr, space: StateSpace) -> PredSet:
+    """wp(program, post) read one row of the program at a time: the states
+    with some successor and only post-successors.  The same set as `wp`
+    over `denote(program, space)`, without tabulating the relation."""
+    good = bytearray(space.size)
+    for j in pred_to_set(post, space).indices():
+        good[j] = 1
+    finals_of = successors(program, space)
+    member = bytearray(b"0") * space.size
+    for i in range(space.size):
+        finals = finals_of(i)
+        if finals and all(map(good.__getitem__, finals)):
+            member[i] = ord("1")
+    return PredSet(space.size, int(member[::-1], 2))
+
+
 @dataclass(frozen=True)
 class Report:
     """Everything a verification run produced, JSON-ready."""
@@ -130,12 +145,6 @@ class Report:
     pre: PredExpr
     post: PredExpr
     program: Stmt
-
-    @cached_property
-    def wp_size(self) -> int:
-        """Number of states in wp(program, post).  It denotes the whole
-        program over the whole space, so it is computed only when read."""
-        return wp(denote(self.program, self.space), pred_to_set(self.post, self.space)).count()
 
     def to_json_dict(self) -> dict:
         cx = self.verdict.counterexample
@@ -166,6 +175,7 @@ def verify(program: Stmt, pre: PredExpr, post: PredExpr, mode: str, space: State
         raise ValueError(f"mode must be 'total' or 'partial', got {mode!r}")
     p = pred_to_set(pre, space)
     finals_of = successors(program, space)
+    holds_post = compile_pred(post, space)
     good: dict[int, bool] = {}  # post at each final reached so far
     states = 0
     pairs = 0
@@ -180,7 +190,7 @@ def verify(program: Stmt, pre: PredExpr, post: PredExpr, mode: str, space: State
         for j in finals:
             ok = good.get(j)
             if ok is None:
-                ok = good[j] = eval_pred(post, index_to_state(space, j))
+                ok = good[j] = holds_post(j)
             if not ok:
                 kind = BAD_SUCCESSOR if mode == "total" else PARTIAL_VIOLATION
                 cx = Counterexample(kind, index_to_state(space, i), index_to_state(space, j), i, j)

@@ -2,21 +2,24 @@
 
 Arithmetic is exact 64-bit signed: any intermediate outside
 [-2^63, 2^63) evaluates to the UNDEFINED sentinel, and a comparison with an
-UNDEFINED operand is false.  A predicate read over a space yields a PredSet,
-an immutable bitmask subset of state indices.  `pred_to_set` builds it with
-mask operations: the connectives combine whole masks, and each atom is
-evaluated once per valuation of the variables it reads, then repeated along
-the strides of the variables it does not read.
+UNDEFINED operand is false.  `compile_arith` and `compile_pred` turn an
+expression, once per space, into a function of the state index: variable v
+reads `values[i // stride % size]`, so no valuation is ever built.  A
+predicate read over a space yields a PredSet, an immutable bitmask subset of
+state indices.  `pred_to_set` builds it with mask operations: the
+connectives combine whole masks, and each atom is evaluated once per
+valuation of the variables it reads, then repeated along the strides of the
+variables it does not read.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
-from .errors import SourceSpan
-from .state_space import State, StateSpace
+from .errors import SourceSpan, UnknownVariableError
+from .state_space import StateSpace
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -166,64 +169,90 @@ class InDomain(PredExpr):
 # evaluation
 
 
-def _clamp64(v: int) -> ArithValue:
-    return v if INT64_MIN <= v <= INT64_MAX else UNDEFINED
+def subexpressions(e) -> Iterator[Union[ArithExpr, PredExpr]]:
+    """e and every arithmetic or predicate node below it."""
+    yield e
+    for child in vars(e).values():
+        if isinstance(child, (ArithExpr, PredExpr)):
+            yield from subexpressions(child)
 
 
-def eval_arith(e: ArithExpr, state: State) -> ArithValue:
-    """Exact 64-bit evaluation; UNDEFINED is absorbing."""
+_ARITH_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def compile_arith(e: ArithExpr, space: StateSpace) -> Callable[[int], ArithValue]:
+    """A function from a state index to the value of e there: exact 64-bit
+    arithmetic, with UNDEFINED absorbing.  A variable outside the space
+    raises when it is read, not when it is compiled."""
     if isinstance(e, Const):
-        return _clamp64(e.value)
+        value = e.value if INT64_MIN <= e.value <= INT64_MAX else UNDEFINED
+        return lambda i: value
     if isinstance(e, Var):
-        return state.value_of(e.name)
+        if e.name not in space.universe:
+
+            def unknown(i: int) -> ArithValue:
+                raise UnknownVariableError(e.name)
+
+            return unknown
+        k = space.universe.position(e.name)
+        values, stride = space.universe.vars[k][1].values, space.strides[k]
+        size = len(values)
+        return lambda i: values[i // stride % size]
     if isinstance(e, Neg):
-        v = eval_arith(e.operand, state)
-        return UNDEFINED if v is UNDEFINED else _clamp64(-v)
-    if isinstance(e, (Add, Sub, Mul)):
-        a = eval_arith(e.left, state)
-        b = eval_arith(e.right, state)
-        if a is UNDEFINED or b is UNDEFINED:
-            return UNDEFINED
-        if isinstance(e, Add):
-            return _clamp64(a + b)
-        if isinstance(e, Sub):
-            return _clamp64(a - b)
-        return _clamp64(a * b)
+        return compile_arith(Sub(Const(0), e.operand), space)
+    if type(e) in _ARITH_OPS:
+        op = _ARITH_OPS[type(e)]
+        left, right = compile_arith(e.left, space), compile_arith(e.right, space)
+
+        def binary(i: int) -> ArithValue:
+            a, b = left(i), right(i)
+            if a is UNDEFINED or b is UNDEFINED:
+                return UNDEFINED
+            v = op(a, b)
+            return v if INT64_MIN <= v <= INT64_MAX else UNDEFINED
+
+        return binary
     raise TypeError(f"not an arithmetic expression: {e!r}")
 
 
-_CMP_FNS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_CMP_OPS = dict(zip(CMP_OPS, (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)))
 
 
-def eval_pred(p: PredExpr, state: State) -> bool:
+def compile_pred(p: PredExpr, space: StateSpace) -> Callable[[int], bool]:
+    """A function from a state index to the truth of p there.  A comparison
+    with an UNDEFINED operand is false, and `&&`, `||` and `->` read their
+    right operand only where the left one does not decide."""
     if isinstance(p, BoolConst):
-        return p.value
+        value = p.value
+        return lambda i: value
     if isinstance(p, Cmp):
-        a = eval_arith(p.left, state)
-        b = eval_arith(p.right, state)
-        if a is UNDEFINED or b is UNDEFINED:
-            return False
-        return _CMP_FNS[p.op](a, b)
-    if isinstance(p, Not):
-        return not eval_pred(p.operand, state)
-    if isinstance(p, And):
-        return eval_pred(p.left, state) and eval_pred(p.right, state)
-    if isinstance(p, Or):
-        return eval_pred(p.left, state) or eval_pred(p.right, state)
-    if isinstance(p, Implies):
-        return (not eval_pred(p.left, state)) or eval_pred(p.right, state)
-    if isinstance(p, Iff):
-        return eval_pred(p.left, state) == eval_pred(p.right, state)
+        op = _CMP_OPS[p.op]
+        left, right = compile_arith(p.left, space), compile_arith(p.right, space)
+
+        def cmp(i: int) -> bool:
+            a, b = left(i), right(i)
+            if a is UNDEFINED or b is UNDEFINED:
+                return False
+            return op(a, b)
+
+        return cmp
     if isinstance(p, InDomain):
-        return state.value_of(p.var) in state.universe.domain(p.var)
-    raise TypeError(f"not a predicate expression: {p!r}")
+        # every stored value lies in its domain; only an unknown name raises
+        read = compile_arith(Var(p.var), space)
+        return lambda i: read(i) is not UNDEFINED
+    if isinstance(p, Not):
+        operand = compile_pred(p.operand, space)
+        return lambda i: not operand(i)
+    if not isinstance(p, (And, Or, Implies, Iff)):
+        raise TypeError(f"not a predicate expression: {p!r}")
+    left, right = compile_pred(p.left, space), compile_pred(p.right, space)
+    if isinstance(p, And):
+        return lambda i: left(i) and right(i)
+    if isinstance(p, Or):
+        return lambda i: left(i) or right(i)
+    if isinstance(p, Implies):
+        return lambda i: not left(i) or right(i)
+    return lambda i: left(i) == right(i)
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +343,14 @@ class PredSet:
 
 def pred_to_set(p: PredExpr, space: StateSpace) -> PredSet:
     """The states of the space that satisfy p, the same set as evaluating p
-    on every state with `eval_pred`, and raising where that would raise."""
+    on every state with `compile_pred`, and raising where that would raise."""
     full = (1 << space.size) - 1
     return PredSet(space.size, _mask(p, space, full, full))
 
 
 def _mask(p: PredExpr, space: StateSpace, care: int, full: int) -> int:
     """A mask that agrees with p on the states in `care`.  A right operand
-    is read only where `eval_pred` would reach it, and a sub-predicate that
+    is read only where `compile_pred` would reach it, and a sub-predicate that
     no care state reaches is not evaluated at all."""
     if not care:
         return 0
@@ -343,26 +372,20 @@ def _mask(p: PredExpr, space: StateSpace, care: int, full: int) -> int:
     return full ^ left ^ _mask(p.right, space, care, full)
 
 
-def _reads(e) -> set[str]:
-    """The variables an atom or an arithmetic expression reads."""
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, InDomain):
-        return {e.var}
-    return set().union(*(_reads(c) for c in vars(e).values() if isinstance(c, ArithExpr)))
-
-
 def _atom_mask(p: PredExpr, space: StateSpace) -> int:
     """Evaluate the atom once per valuation of the variables it reads, then
     widen that table to the whole space, one bit character per state."""
     universe = space.universe
-    read = sorted(universe.position(name) for name in _reads(p))
-    values = [dom.values[0] for _, dom in universe.vars]
-    blocks = []
-    for valuation in product(*(universe.vars[k][1].values for k in read)):
-        for k, v in zip(read, valuation):
-            values[k] = v
-        blocks.append("1" if eval_pred(p, State(universe, tuple(values))) else "0")
+    reads = (n for n in subexpressions(p) if isinstance(n, (Var, InDomain)))
+    read = sorted({universe.position(n.var if isinstance(n, InDomain) else n.name) for n in reads})
+    # the indices where every other variable takes its first value, the
+    # last variable read varying fastest
+    indices = [0]
+    for k in read:
+        stride = space.strides[k]
+        indices = [i + v * stride for i in indices for v in range(universe.vars[k][1].size)]
+    holds = compile_pred(p, space)
+    blocks = ["1" if holds(i) else "0" for i in indices]
     # from the fastest variable outwards: a variable the atom reads joins
     # each run of consecutive blocks, one block per value; any other
     # variable repeats every block once per value

@@ -14,9 +14,11 @@ forward from that state only.  Key conventions:
   immediately relates to itself (zero iterations).  States from which no
   such chain exists (divergence) get no successors.
 
-`denote` tabulates those rows for every state of the space as a `Relation`,
-one bitmask of final indices per initial index, for `wp` and
-`dump-relation`; the law suite builds its relations directly.
+Assignments and guards are compiled once to functions of the state index
+(`predicates.compile_arith`/`compile_pred`).  `wp` and `dump-relation` read
+the rows one state at a time.  `denote` tabulates them for every state as a
+`Relation`, one bitmask of finals per initial index, for tests and library
+users; the law suite builds its relations directly.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .predicates import PredExpr, PredSet, UNDEFINED, eval_arith, eval_pred
-from .state_space import State, StateSpace, index_to_state
+from .predicates import PredExpr, PredSet, UNDEFINED, compile_arith, compile_pred
+from .state_space import StateSpace
 from .syntax import (
     Assign,
     Decl,
@@ -131,20 +133,13 @@ def successors(stmt: Stmt, space: StateSpace) -> Callable[[int], tuple[int, ...]
     as the returned function lives, so states that several paths reach are
     evaluated once.
     """
-    states: dict[int, State] = {}
-
-    def state_at(i: int) -> State:
-        state = states.get(i)
-        if state is None:
-            state = states[i] = index_to_state(space, i)
-        return state
-
     def slot(var: str):
         pos = space.universe.position(var)
         return space.universe.vars[pos][1], space.strides[pos]
 
     def branch(cond: PredExpr, then, orelse) -> Callable[[int], tuple[int, ...]]:
-        return _memoised(lambda i: then(i) if eval_pred(cond, state_at(i)) else orelse(i))
+        holds = compile_pred(cond, space)
+        return _memoised(lambda i: then(i) if holds(i) else orelse(i))
 
     def build(s: Stmt) -> Callable[[int], tuple[int, ...]]:
         if isinstance(s, Nop):
@@ -159,13 +154,24 @@ def successors(stmt: Stmt, space: StateSpace) -> Callable[[int], tuple[int, ...]
             return havoc
         if isinstance(s, Assign):
             dom, stride = slot(s.var)
-            expr = s.expr
+            value_at = compile_arith(s.expr, space)
+            low, size = dom.values[0], dom.size
+            # strictly increasing values that span size - 1 are `int a..b`
+            contiguous = dom.values[-1] - low == size - 1
 
             def assign(i: int) -> tuple[int, ...]:
-                value = eval_arith(expr, state_at(i))
-                if value is UNDEFINED or value not in dom:
+                value = value_at(i)
+                if value is UNDEFINED:
                     return ()
-                return (i + (dom.position(value) - i // stride % dom.size) * stride,)
+                if contiguous:
+                    k = value - low
+                    if not 0 <= k < size:
+                        return ()
+                elif value in dom:
+                    k = dom.position(value)
+                else:
+                    return ()
+                return (i + (k - i // stride % size) * stride,)
 
             return _memoised(assign)
         if isinstance(s, Seq):
@@ -192,29 +198,18 @@ def successors(stmt: Stmt, space: StateSpace) -> Callable[[int], tuple[int, ...]
         if isinstance(s, IfThen):
             return branch(s.cond, build(s.body), build(Nop()))
         if isinstance(s, While):
-            body, cond = build(s.body), s.cond
+            body, guard = build(s.body), compile_pred(s.cond, space)
             solved: dict[int, tuple[int, ...]] = {}
 
             def loop(i: int) -> tuple[int, ...]:
                 if i not in solved:
-                    _solve_loop(i, lambda h: eval_pred(cond, state_at(h)), body, solved)
+                    _solve_loop(i, guard, body, solved)
                 return solved[i]
 
             return loop
         raise TypeError(f"not a statement: {s!r}")
 
-    top = build(stmt)
-
-    def from_state(i: int) -> tuple[int, ...]:
-        # valuations are shared by the nodes that one initial state's
-        # successors pass through, and then dropped: kept for every state
-        # of a large space they would outweigh the memo tables
-        try:
-            return top(i)
-        finally:
-            states.clear()
-
-    return from_state
+    return build(stmt)
 
 
 def _memoised(fn: Callable[[int], tuple[int, ...]]) -> Callable[[int], tuple[int, ...]]:

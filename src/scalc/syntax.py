@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import ScalcSyntaxError, SourceSpan, UndeclaredVariableError
 from .predicates import (
@@ -124,22 +124,28 @@ def seq_of(stmts: list[Stmt]) -> Stmt:
     return out
 
 
-def declared_vars(stmt: Stmt) -> list[tuple[str, str]]:
-    """All (name, type) declarations in textual order, first occurrence wins."""
-    seen: dict[str, str] = {}
+def statements(stmt: Stmt) -> Iterator[Stmt]:
+    """Every statement node of `stmt`, itself first, in textual order."""
     # an explicit stack, not recursion, so that a long program does not
     # exhaust the interpreter's stack; children go on it last part first
     stack = [stmt]
     while stack:
         s = stack.pop()
-        if isinstance(s, Decl):
-            seen.setdefault(s.var, s.type_name)
-        elif isinstance(s, Seq):
+        yield s
+        if isinstance(s, Seq):
             stack += (s.second, s.first)
         elif isinstance(s, IfThenElse):
             stack += (s.else_branch, s.then_branch)
         elif isinstance(s, (IfThen, While)):
             stack.append(s.body)
+
+
+def declared_vars(stmt: Stmt) -> list[tuple[str, str]]:
+    """All (name, type) declarations in textual order, first occurrence wins."""
+    seen: dict[str, str] = {}
+    for s in statements(stmt):
+        if isinstance(s, Decl):
+            seen.setdefault(s.var, s.type_name)
     return list(seen.items())
 
 
@@ -563,8 +569,10 @@ def _stmt_lines(s: Stmt, indent: int, lines: list[str]):
     elif isinstance(s, Assign):
         lines.append(f"{pad}{s.var} = {arith_to_str(s.expr)};")
     elif isinstance(s, Seq):
-        _stmt_lines(s.first, indent, lines)
-        _stmt_lines(s.second, indent, lines)
+        while isinstance(s, Seq):  # a loop, so that a long program fits the stack
+            _stmt_lines(s.first, indent, lines)
+            s = s.second
+        _stmt_lines(s, indent, lines)
     elif isinstance(s, (IfThen, IfThenElse, While)):
         if isinstance(s, While):
             head, body = f"while ({pred_to_str(s.cond)})", s.body

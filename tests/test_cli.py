@@ -1,10 +1,12 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from scalc import state_space
 from scalc.cli import main
-from scalc.laws import LAWS, check_law
+from scalc.laws import DEFAULT_SEED, LAWS, check_law
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 EX41 = str(SPECS / "ex41.spec")
@@ -227,18 +229,86 @@ class TestLongProgram:
         )
         return str(spec)
 
-    @pytest.mark.parametrize("command", ["verify", "wp", "dump-relation"])
+    @pytest.mark.parametrize("command", ["verify", "wp", "dump-relation", "export-smt"])
     def test_runs_without_a_traceback(self, capsys, long_spec, command):
         code, out, err = run(capsys, command, long_spec)
-        assert code in (0, 1)
+        assert code in ((0,) if command == "export-smt" else (0, 1))
         assert err == ""
-        if command == "dump-relation":
+        if command == "export-smt":
+            # a's initial constant, one per assignment to a, one per if merge
+            assert out.endswith("(check-sat)\n")
+            assert out.count("(declare-const a!") == 1 + 900 + 300
+        elif command == "dump-relation":
             # a = 7 is stuck at the first step; every other state keeps a
             # and ends with each value of b
             pairs = [json.loads(line) for line in out.splitlines()]
             assert pairs == [[4 * a + b, 4 * a + c] for a in range(7) for b in range(4) for c in range(4)]
         else:
             json.loads(out)
+
+
+class TestConsecutiveCalls:
+    """`main` parses every call afresh: nothing one call sets leaks into
+    the next in the same process."""
+
+    def test_wp_limit_returns_to_its_default(self, capsys):
+        _, out, _ = run(capsys, "wp", EX41, "--limit", "3")
+        assert len(json.loads(out)["states"]) == 3
+        _, out, _ = run(capsys, "wp", EX41)
+        assert len(json.loads(out)["states"]) == 10
+
+    def test_repeated_size_flags_do_not_accumulate(self, capsys):
+        for size in (2, 3):
+            code, out, _ = run(capsys, "laws", "--law", "t2", "--size", str(size), "--trials", "5")
+            assert code == 0
+            alone = check_law("t2", trials=5, sizes=(size,), seed=DEFAULT_SEED)
+            assert json.loads(out)["trials"] == alone.trials
+
+
+@pytest.fixture
+def states_built(monkeypatch):
+    """Every call of `index_to_state`, through each module that binds it."""
+    calls = []
+    original = state_space.index_to_state
+
+    def counting(space, index):
+        calls.append(index)
+        return original(space, index)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("scalc") and getattr(module, "index_to_state", None) is original:
+            monkeypatch.setattr(module, "index_to_state", counting)
+    return calls
+
+
+class TestNoStatesOnTheHotPath:
+    """The whole-space commands evaluate on state indices; a `State` is
+    built only for what is printed."""
+
+    @pytest.fixture
+    def count_spec(self, tmp_path):
+        spec = tmp_path / "count.spec"
+        spec.write_text(
+            "[vars]\ni: int 0..7\nn: int 0..7\nf: int 0..63\n"
+            "[program]\nwhile (i < n) { f = f + i; i = i + 1; }\nif (f > 8) { f = f - 8; }\n"
+            "[pre]\ntrue\n[post]\nf <= 39\n"
+        )
+        return str(spec)
+
+    def test_wp_builds_only_the_listed_states(self, capsys, states_built, count_spec):
+        code, out, _ = run(capsys, "wp", count_spec, "--limit", "10")
+        assert code == 0 and json.loads(out)["space_size"] == 4096
+        assert len(states_built) <= 10
+
+    def test_dump_relation_builds_none(self, capsys, states_built, count_spec):
+        code, out, _ = run(capsys, "dump-relation", count_spec)
+        assert code == 0 and out.startswith("[0, 0]\n[1, 1]\n")
+        assert states_built == []
+
+    def test_verify_builds_only_the_counterexample(self, capsys, states_built, count_spec):
+        code, out, _ = run(capsys, "verify", count_spec, "--mode", "partial")
+        assert code == 1 and json.loads(out)["counterexample"]["kind"] == "PartialViolation"
+        assert len(states_built) <= 2
 
 
 class TestMaxStates:

@@ -26,7 +26,6 @@ from scalc.predicates import (
     InDomain,
     Mul,
     Var,
-    eval_pred,
 )
 from scalc.semantics import denote
 from scalc.state_space import (
@@ -47,6 +46,8 @@ from scalc.syntax import (
     parse_program,
     pretty_print,
 )
+
+from test_predicates import eval_pred
 
 # ---------------------------------------------------------------------------
 # s-expression oracle

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from scalc.errors import SpaceMismatchError
-from scalc.hoare import check_partial, check_total, verify, wp
+from scalc.hoare import check_partial, check_total, program_wp, verify, wp
 from scalc.predicates import PredSet, pred_to_set
 from scalc.semantics import (
     Relation,
@@ -192,20 +192,16 @@ class TestCounterexampleSoundness:
 class TestVerifyReport:
     def test_holding_report_shape(self):
         sp = ex_space()
-        report = verify(
-            parse_program("a = 10;", predeclared=("a",)),
-            parse_pred("true"),
-            parse_pred("a == 10", declared=("a",)),
-            "total",
-            sp,
-        )
+        program = parse_program("a = 10;", predeclared=("a",))
+        post = parse_pred("a == 10", declared=("a",))
+        report = verify(program, parse_pred("true"), post, "total", sp)
         assert report.to_json_dict() == {
             "mode": "total",
             "holds": True,
             "counterexample": None,
             "stats": {"states_checked": 3, "pairs_checked": 3},
         }
-        assert report.wp_size == 3
+        assert program_wp(program, post, sp).count() == 3
 
     def test_failing_report_shape(self):
         sp = ex_space()

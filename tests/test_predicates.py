@@ -29,12 +29,13 @@ from scalc.predicates import (
     PredSet,
     Sub,
     Var,
-    eval_arith,
-    eval_pred,
+    compile_arith,
+    compile_pred,
     pred_to_set,
 )
 from scalc.state_space import (
     Domain,
+    State,
     VarUniverse,
     build_space,
     index_to_state,
@@ -61,6 +62,72 @@ def state_of(space, **values):
     for name, v in values.items():
         s = s.updated(name, v)
     return s
+
+
+# ---------------------------------------------------------------------------
+# The oracle: scalc's evaluators before expressions were compiled to
+# functions of the state index.  They walk the expression tree over a
+# `State`, looking each variable up by name.
+
+
+def _clamp64(v):
+    return v if INT64_MIN <= v <= INT64_MAX else UNDEFINED
+
+
+def eval_arith(e, state: State):
+    """Exact 64-bit evaluation; UNDEFINED is absorbing."""
+    if isinstance(e, Const):
+        return _clamp64(e.value)
+    if isinstance(e, Var):
+        return state.value_of(e.name)
+    if isinstance(e, Neg):
+        v = eval_arith(e.operand, state)
+        return UNDEFINED if v is UNDEFINED else _clamp64(-v)
+    if isinstance(e, (Add, Sub, Mul)):
+        a = eval_arith(e.left, state)
+        b = eval_arith(e.right, state)
+        if a is UNDEFINED or b is UNDEFINED:
+            return UNDEFINED
+        if isinstance(e, Add):
+            return _clamp64(a + b)
+        if isinstance(e, Sub):
+            return _clamp64(a - b)
+        return _clamp64(a * b)
+    raise TypeError(f"not an arithmetic expression: {e!r}")
+
+
+_CMP_FNS = {
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+def eval_pred(p, state: State) -> bool:
+    if isinstance(p, BoolConst):
+        return p.value
+    if isinstance(p, Cmp):
+        a = eval_arith(p.left, state)
+        b = eval_arith(p.right, state)
+        if a is UNDEFINED or b is UNDEFINED:
+            return False
+        return _CMP_FNS[p.op](a, b)
+    if isinstance(p, Not):
+        return not eval_pred(p.operand, state)
+    if isinstance(p, And):
+        return eval_pred(p.left, state) and eval_pred(p.right, state)
+    if isinstance(p, Or):
+        return eval_pred(p.left, state) or eval_pred(p.right, state)
+    if isinstance(p, Implies):
+        return (not eval_pred(p.left, state)) or eval_pred(p.right, state)
+    if isinstance(p, Iff):
+        return eval_pred(p.left, state) == eval_pred(p.right, state)
+    if isinstance(p, InDomain):
+        return state.value_of(p.var) in state.universe.domain(p.var)
+    raise TypeError(f"not a predicate expression: {p!r}")
 
 
 def pointwise_pred_to_set(p, space):
@@ -353,18 +420,81 @@ class TestPredToSetDifferential:
                     to_set(p, sp)
 
 
+def evaluation(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except UnknownVariableError:
+        return "unknown variable"
+
+
+def contiguous(domain):
+    return domain.values[-1] - domain.values[0] == domain.size - 1
+
+
+class TestCompileDifferential:
+    """`compile_arith` and `compile_pred` evaluate on the state index; the
+    tree-walking `eval_arith` and `eval_pred` over a `State` are the oracle."""
+
+    def test_random_expressions_over_random_universes(self):
+        rng = random.Random(0xC0DE)
+        kinds = (Const, Var, Neg, Add, Sub, Mul, BoolConst, Cmp, InDomain, Not, And, Or, Implies, Iff)
+        seen = {kind: 0 for kind in kinds}
+        seen.update({"64-bit edge": 0, "undefined": 0, "non-contiguous": 0, "raises": 0, "unknown unreached": 0})
+        for trial in range(800):
+            universe = random_universe(rng)
+            space = build_space(universe)
+            # only short-circuits leave an unknown variable unread, so
+            # predicates meet one more often
+            names = universe.names + (("zz",) if rng.random() < 0.2 + 0.3 * (trial % 2) else ())
+            if trial % 2:
+                e = random_full_pred(rng, names, rng.randrange(1, 5))
+                compiled, oracle = compile_pred(e, space), eval_pred
+            else:
+                e = random_arith(rng, names, rng.randrange(1, 5))
+                compiled, oracle = compile_arith(e, space), eval_arith
+            raised = undefined = False
+            for i in range(space.size):
+                state = index_to_state(space, i)
+                want = evaluation(oracle, e, state)
+                got = evaluation(compiled, i)
+                assert (type(got), got) == (type(want), want), f"trial {trial}, state {i}: {e!r}"
+                raised |= want == "unknown variable"
+                undefined |= any(
+                    evaluation(eval_arith, n, state) is UNDEFINED for n in nodes(e) if isinstance(n, ArithExpr)
+                )
+            below = list(nodes(e))
+            read = {n.name if isinstance(n, Var) else n.var for n in below if isinstance(n, (Var, InDomain))}
+            domains = [universe.domain(name) for name in read if name in universe]
+            for kind in {type(n) for n in below} & set(seen):
+                seen[kind] += 1
+            seen["64-bit edge"] += any(
+                isinstance(n, Const) and n.value in (INT64_MIN, INT64_MAX) for n in below
+            ) or any({INT64_MIN, INT64_MAX} & set(d.values) for d in domains)
+            seen["undefined"] += undefined
+            seen["non-contiguous"] += any(not contiguous(d) for d in domains)
+            seen["raises"] += raised
+            seen["unknown unreached"] += "zz" in read and not raised
+        assert min(seen.values()) >= 10, seen
+
+
 @pytest.fixture
 def atom_evaluations(monkeypatch):
-    """Every call of `eval_pred` that `pred_to_set` makes.  The guard and
-    postcondition calls of `semantics` and `hoare` use their own binding of
-    `eval_pred` and are not recorded."""
+    """Every evaluation of a predicate that `pred_to_set` compiles.  The
+    guard and postcondition functions of `semantics` and `hoare` come from
+    their own binding of `compile_pred` and are not recorded."""
     calls = []
+    compile_pred = predicates.compile_pred
 
-    def counting(p, state):
-        calls.append(p)
-        return eval_pred(p, state)
+    def counting(p, space):
+        holds = compile_pred(p, space)
 
-    monkeypatch.setattr(predicates, "eval_pred", counting)
+        def evaluate(i):
+            calls.append(p)
+            return holds(i)
+
+        return evaluate
+
+    monkeypatch.setattr(predicates, "compile_pred", counting)
     return calls
 
 

@@ -16,7 +16,6 @@ from scalc.predicates import (
     Or,
     PredSet,
     Var,
-    eval_arith,
     pred_to_set,
 )
 from scalc.semantics import (
@@ -48,7 +47,7 @@ from scalc.syntax import (
     parse_program,
 )
 
-from test_predicates import pointwise_pred_to_set
+from test_predicates import eval_arith, pointwise_pred_to_set
 
 # ---------------------------------------------------------------------------
 # The oracle: scalc's semantics before `denote` became a tabulation of

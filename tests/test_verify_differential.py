@@ -1,17 +1,20 @@
-"""`verify` explores forward from the precondition's states only, and
-`denote` tabulates the same forward semantics for every state.  The
-relational path they replaced stays here as the oracle: the relational
-semantics of `test_semantics.relational_denote`, then
-`check_total`/`check_partial` over that relation, with P and Q evaluated
-state by state.  `verify` must print the same report: verdict,
-counterexample and stats; `denote` must build the same relation."""
+"""`verify` explores forward from the precondition's states only;
+`denote`, `program_wp` and `dump-relation` read the same forward semantics
+for every state.  The relational path they replaced stays here as the
+oracle: the relational semantics of `test_semantics.relational_denote`,
+then `check_total`/`check_partial` or `wp` over that relation, with P and Q
+evaluated state by state.  `verify` must print the same report: verdict,
+counterexample and stats; `denote` must build the same relation, and
+`program_wp` the same set."""
 
+import json
 import random
 from pathlib import Path
 
 import pytest
 
-from scalc.hoare import Report, check_partial, check_total, verify
+from scalc.cli import main
+from scalc.hoare import Report, check_partial, check_total, program_wp, verify, wp
 from scalc.predicates import BoolConst, Cmp, Const, Mul, Var
 from scalc.semantics import denote, successors
 from scalc.specfile import load_task
@@ -123,6 +126,37 @@ def test_denote_is_relational_denote():
         # with no loop that can run forever, an empty row is a stuck assignment
         seen["stuck"] += not diverging and any(m == 0 for m in want.succ)
     assert min(seen.values()) >= 10, seen
+
+
+def test_streamed_wp_is_wp_of_the_relational_denotation():
+    rng = random.Random(0x3A7)
+    space = space_abc()
+    seen = {"havoc": 0, "loop": 0, "divergence": 0, "stuck": 0}
+    for trial in range(250):
+        program = random_stmt(rng, VARS, rng.randrange(1, 5))
+        post = BoolConst(True) if rng.random() < 0.1 else random_cond(rng, VARS, 2)
+        relation = relational_denote(program, space)
+        want = wp(relation, pointwise_pred_to_set(post, space))
+        assert program_wp(program, post, space) == want, f"trial {trial}:\n{pretty_print(program)}"
+        diverging = any(diverges(loop, space) for loop in loops(program))
+        seen["havoc"] += contains(program, Decl)
+        seen["loop"] += contains(program, While)
+        seen["divergence"] += diverging
+        seen["stuck"] += not diverging and any(m == 0 for m in relation.succ)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_dump_relation_prints_the_relational_pairs(tmp_path, capsys):
+    rng = random.Random(0xD0)
+    header = "[vars]\na: int -3..3\nb: int 0..5\nc: int -2..2\n[program]\n"
+    for trial in range(40):
+        program = random_stmt(rng, VARS, rng.randrange(1, 5))
+        spec = tmp_path / f"t{trial}.spec"
+        spec.write_text(header + pretty_print(program))
+        assert main(["dump-relation", str(spec)]) == 0
+        pairs = [tuple(json.loads(line)) for line in capsys.readouterr().out.splitlines()]
+        want = relational_denote(program, build_space(load_task(str(spec)).universe))
+        assert pairs == list(want.pairs()), f"trial {trial}:\n{pretty_print(program)}"
 
 
 def test_loops_that_diverge_from_some_states():
