@@ -198,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=_positive_int,
             help="refuse state spaces larger than this (env: SCALC_MAX_STATES)",
         )
-        p.add_argument("--json", action="store_true", help="accepted for compatibility; output is always JSON")
 
     p = sub.add_parser("verify", help="decide the triple in the spec file")
     spec_arg(p)
@@ -227,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enumerate every binding instead of boundary plus random trials",
     )
     p.add_argument("--list", action="store_true", help="list law ids and titles, check nothing")
-    p.add_argument("--json", action="store_true", help="accepted for compatibility; output is always JSON")
     p.set_defaults(func=cmd_laws)
 
     p = sub.add_parser("export-smt", help="emit the condition as SMT-LIB 2 over unbounded integers")
@@ -240,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="accept loops by assuming away executions beyond the unroll bound",
     )
     p.add_argument("-o", "--output", help="write the document here and print a summary")
-    p.add_argument("--json", action="store_true", help="accepted for compatibility")
     p.set_defaults(func=cmd_export_smt)
 
     p = sub.add_parser("dump-relation", help="print the denoted relation as state-index pairs")

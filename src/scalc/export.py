@@ -28,14 +28,13 @@ from .predicates import Add, ArithExpr, BoolConst, Cmp, Const
 from .predicates import And as PAnd
 from .predicates import Iff as PIff
 from .predicates import Implies as PImplies
-from .predicates import InDomain, Mul, Neg
+from .predicates import Mul, Neg
 from .predicates import Not as PNot
 from .predicates import Or as POr
 from .predicates import PredExpr, Sub, Var, subexpressions
 from .syntax import (
     Assign,
     Decl,
-    IfThen,
     IfThenElse,
     Nop,
     Seq,
@@ -146,11 +145,6 @@ class _Encoder:
             return f"(=> {self.pred(p.left)} {self.pred(p.right)})"
         if isinstance(p, PIff):
             return f"(= {self.pred(p.left)} {self.pred(p.right)})"
-        if isinstance(p, InDomain):
-            sym = self._lookup(p.var)
-            if self.types.get(p.var) == "bool":
-                return f"(and (<= 0 {sym}) (<= {sym} 1))"
-            return "true"
         raise UnsupportedForExportError(f"cannot encode predicate node {type(p).__name__}")
 
     def stmt(self, s: Stmt, path: str):
@@ -175,9 +169,6 @@ class _Encoder:
                 s = s.second
             self.stmt(s, path)
             return
-        if isinstance(s, IfThen):
-            self._branch(s.cond, s.body, None, path)
-            return
         if isinstance(s, IfThenElse):
             self._branch(s.cond, s.then_branch, s.else_branch, path)
             return
@@ -186,14 +177,13 @@ class _Encoder:
             return
         raise UnsupportedForExportError(f"cannot encode statement {type(s).__name__}")
 
-    def _branch(self, cond: PredExpr, then_branch: Stmt, else_branch, path: str):
+    def _branch(self, cond: PredExpr, then_branch: Stmt, else_branch: Stmt, path: str):
         guard = self.pred(cond)
         before = dict(self.env)
         self.stmt(then_branch, _conj(path, guard))
         then_env = self.env
         self.env = dict(before)
-        if else_branch is not None:
-            self.stmt(else_branch, _conj(path, f"(not {guard})"))
+        self.stmt(else_branch, _conj(path, f"(not {guard})"))
         else_env = self.env
         merged = dict(else_env)
         for name, then_sym in then_env.items():
@@ -216,7 +206,7 @@ class _Encoder:
                 "program contains a loop; bounded expansion must be requested explicitly"
             )
         for _ in range(self.unroll):
-            self._branch(s.cond, s.body, None, path)
+            self._branch(s.cond, s.body, Nop(), path)
         guard = self.pred(s.cond)
         if path == "true":
             self.conjuncts.append(f"(not {guard})")
@@ -237,7 +227,7 @@ def select_logic(program: Stmt, pre: PredExpr, post: PredExpr) -> str:
     for s in statements(program):
         if isinstance(s, Assign):
             exprs.append(s.expr)
-        elif isinstance(s, (IfThen, IfThenElse, While)):
+        elif isinstance(s, (IfThenElse, While)):
             exprs.append(s.cond)
     nonlinear = any(
         isinstance(n, Mul) and not isinstance(n.left, Const) and not isinstance(n.right, Const)

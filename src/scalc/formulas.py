@@ -9,7 +9,7 @@ This is the engine behind the schematic law templates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import ArityMismatchError, UnboundStateVariableError, UnboundSymbolError
 from .predicates import PredSet
@@ -94,31 +94,23 @@ def free_vars(f: SFormula) -> frozenset[str]:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def subformulas(f: SFormula) -> Iterator[SFormula]:
+    """f and every formula below it, left operands first."""
+    yield f
+    for child in vars(f).values():
+        if isinstance(child, SFormula):
+            yield from subformulas(child)
+
+
 def symbol_arities(f: SFormula) -> dict[str, int]:
     """Map each symbol to 1 (predicate) or 2 (relation); mixed use raises."""
     out: dict[str, int] = {}
-
-    def walk(g: SFormula):
-        if isinstance(g, PredApp):
-            arity = 1
-        elif isinstance(g, RelApp):
-            arity = 2
-        else:
-            if isinstance(g, FNot):
-                walk(g.operand)
-            elif isinstance(g, (FAnd, FOr, FImplies, FIff)):
-                walk(g.left)
-                walk(g.right)
-            elif isinstance(g, (Forall, Exists)):
-                walk(g.body)
-            else:
-                raise TypeError(f"not a formula: {g!r}")
-            return
-        prev = out.setdefault(g.symbol, arity)
-        if prev != arity:
-            raise ArityMismatchError(g.symbol, f"used with arity {prev} and {arity}")
-
-    walk(f)
+    for g in subformulas(f):
+        if isinstance(g, (PredApp, RelApp)):
+            arity = 1 if isinstance(g, PredApp) else 2
+            prev = out.setdefault(g.symbol, arity)
+            if prev != arity:
+                raise ArityMismatchError(g.symbol, f"used with arity {prev} and {arity}")
     return out
 
 
@@ -148,25 +140,27 @@ def eval_sformula(f: SFormula, env: Mapping[str, Binding], space: StateSpace) ->
     fv = free_vars(f)
     if fv:
         raise UnboundStateVariableError(sorted(fv)[0])
-    return _eval(f, env, {}, space)
+    return evaluate(f, env, {}, space)
 
 
-def _eval(f: SFormula, env: Mapping[str, Binding], binding: dict[str, int], space: StateSpace) -> bool:
+def evaluate(f: SFormula, env: Mapping[str, Binding], binding: dict[str, int], space: StateSpace) -> bool:
+    """Truth value of f with its free state variables bound by `binding`,
+    unchecked: every symbol must be bound at its arity over `space`."""
     if isinstance(f, PredApp):
         return binding[f.var] in env[f.symbol]
     if isinstance(f, RelApp):
         rel = env[f.symbol]
         return rel.has_pair(binding[f.var1], binding[f.var2])
     if isinstance(f, FNot):
-        return not _eval(f.operand, env, binding, space)
+        return not evaluate(f.operand, env, binding, space)
     if isinstance(f, FAnd):
-        return _eval(f.left, env, binding, space) and _eval(f.right, env, binding, space)
+        return evaluate(f.left, env, binding, space) and evaluate(f.right, env, binding, space)
     if isinstance(f, FOr):
-        return _eval(f.left, env, binding, space) or _eval(f.right, env, binding, space)
+        return evaluate(f.left, env, binding, space) or evaluate(f.right, env, binding, space)
     if isinstance(f, FImplies):
-        return (not _eval(f.left, env, binding, space)) or _eval(f.right, env, binding, space)
+        return (not evaluate(f.left, env, binding, space)) or evaluate(f.right, env, binding, space)
     if isinstance(f, FIff):
-        return _eval(f.left, env, binding, space) == _eval(f.right, env, binding, space)
+        return evaluate(f.left, env, binding, space) == evaluate(f.right, env, binding, space)
     if isinstance(f, (Forall, Exists)):
         # Save any outer binding of the same name so shadowing restores it.
         outer = binding.get(f.var, _UNBOUND)
@@ -174,7 +168,7 @@ def _eval(f: SFormula, env: Mapping[str, Binding], binding: dict[str, int], spac
         result = not want
         for i in range(space.size):
             binding[f.var] = i
-            if _eval(f.body, env, binding, space) == want:
+            if evaluate(f.body, env, binding, space) == want:
                 result = want
                 break
         if outer is _UNBOUND:

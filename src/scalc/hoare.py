@@ -62,6 +62,15 @@ def _require_compatible(p: PredSet, s: Relation, q: PredSet):
 
 def check_total(p: PredSet, s: Relation, q: PredSet) -> Verdict:
     """Every P-state must have a successor, and only Q-successors."""
+    return _check(p, s, q, "total")
+
+
+def check_partial(p: PredSet, s: Relation, q: PredSet) -> Verdict:
+    """Successors of P-states must satisfy Q; successor-free states are fine."""
+    return _check(p, s, q, "partial")
+
+
+def _check(p: PredSet, s: Relation, q: PredSet, mode: str) -> Verdict:
     _require_compatible(p, s, q)
     states = 0
     pairs = 0
@@ -70,39 +79,16 @@ def check_total(p: PredSet, s: Relation, q: PredSet) -> Verdict:
         states += 1
         m = s.succ[i]
         pairs += m.bit_count()
-        if m == 0:
+        if not m and mode == "total":
             cx = Counterexample(NO_SUCCESSOR, index_to_state(s.space, i), None, i, None)
             break
         bad = m & ~q.mask
         if bad:
             j = (bad & -bad).bit_length() - 1
-            cx = Counterexample(
-                BAD_SUCCESSOR, index_to_state(s.space, i), index_to_state(s.space, j), i, j
-            )
+            kind = BAD_SUCCESSOR if mode == "total" else PARTIAL_VIOLATION
+            cx = Counterexample(kind, index_to_state(s.space, i), index_to_state(s.space, j), i, j)
             break
-    stats = CheckStats(states, pairs)
-    return Verdict(cx is None, cx, stats)
-
-
-def check_partial(p: PredSet, s: Relation, q: PredSet) -> Verdict:
-    """Successors of P-states must satisfy Q; successor-free states are fine."""
-    _require_compatible(p, s, q)
-    states = 0
-    pairs = 0
-    cx = None
-    for i in p.indices():
-        states += 1
-        m = s.succ[i]
-        pairs += m.bit_count()
-        bad = m & ~q.mask
-        if bad:
-            j = (bad & -bad).bit_length() - 1
-            cx = Counterexample(
-                PARTIAL_VIOLATION, index_to_state(s.space, i), index_to_state(s.space, j), i, j
-            )
-            break
-    stats = CheckStats(states, pairs)
-    return Verdict(cx is None, cx, stats)
+    return Verdict(cx is None, cx, CheckStats(states, pairs))
 
 
 def wp(s: Relation, q: PredSet) -> PredSet:

@@ -2,7 +2,8 @@
 
 Every registered law is either a set-level fact about total-correctness
 triples / weakest preconditions (checked through check_total and wp on
-explicit sets) or a closed first-order template evaluated by eval_sformula.
+explicit sets) or a closed first-order template, checked once when it is
+registered and then evaluated on every trial.
 Laws are checked on small abstract spaces with three binding strategies:
 
 * forced boundary bindings (empty/full predicate sets; empty/full/identity
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Union
 
-from .errors import UnknownLawError
+from .errors import UnboundStateVariableError, UnknownLawError
 from .formulas import (
     Exists,
     FAnd,
@@ -35,7 +36,8 @@ from .formulas import (
     PredApp,
     RelApp,
     SFormula,
-    eval_sformula,
+    evaluate,
+    free_vars,
     symbol_arities,
 )
 from .hoare import check_total, wp
@@ -159,13 +161,6 @@ def _range_set(s: Relation) -> PredSet:
 def _has_bad_pair(s: Relation, q: PredSet) -> bool:
     """Some pair of s ends outside q."""
     return any(m & ~q.mask for m in s.succ)
-
-
-def _formula_checker(template: SFormula):
-    def run(env: Mapping[str, Binding], space: StateSpace) -> bool:
-        return eval_sformula(template, env, space)
-
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -522,21 +517,32 @@ def _build_t_templates() -> dict[str, SFormula]:
 T_TEMPLATES = _build_t_templates()
 
 
+def _register_template(name: str, title: str, template: SFormula):
+    """Register the law that `template` holds.  Each trial binds exactly the
+    template's own symbols, at their arities and over the trial's space, so
+    the template is checked here once, closed and with one arity per symbol,
+    and every trial evaluates it without `eval_sformula`'s checks."""
+    fv = free_vars(template)
+    if fv:
+        raise UnboundStateVariableError(sorted(fv)[0])
+    arities = symbol_arities(template)
+    preds = sorted(sym for sym, a in arities.items() if a == 1 and sym not in ("tau", "phi"))
+    rels = sorted(sym for sym, a in arities.items() if a == 2)
+    _register(
+        name,
+        title,
+        " ".join(preds),
+        " ".join(rels),
+        lambda env, space: evaluate(template, env, {}, space),
+        fixed_full=("tau",) if "tau" in arities else (),
+        fixed_empty=("phi",) if "phi" in arities else (),
+        expect_violations=name.endswith("-variant"),
+    )
+
+
 def _install_t_schemas():
     for name, template in T_TEMPLATES.items():
-        arities = symbol_arities(template)
-        preds = sorted(sym for sym, a in arities.items() if a == 1 and sym not in ("tau", "phi"))
-        rels = sorted(sym for sym, a in arities.items() if a == 2)
-        _register(
-            name,
-            T_SCHEMA_TITLES[name],
-            " ".join(preds),
-            " ".join(rels),
-            _formula_checker(template),
-            fixed_full=("tau",) if "tau" in arities else (),
-            fixed_empty=("phi",) if "phi" in arities else (),
-            expect_violations=name.endswith("-variant"),
-        )
+        _register_template(name, T_SCHEMA_TITLES[name], template)
 
 
 _install_triple_laws()

@@ -152,19 +152,6 @@ class Iff(PredExpr):
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class InDomain(PredExpr):
-    """Atomic predicate: the variable's current value lies in its own domain.
-
-    Over a product space every stored value is in-domain by construction, so
-    this is constantly true there; it exists so preconditions can mirror
-    typing assumptions explicitly.  It has no concrete surface syntax.
-    """
-
-    var: str
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -236,10 +223,6 @@ def compile_pred(p: PredExpr, space: StateSpace) -> Callable[[int], bool]:
             return op(a, b)
 
         return cmp
-    if isinstance(p, InDomain):
-        # every stored value lies in its domain; only an unknown name raises
-        read = compile_arith(Var(p.var), space)
-        return lambda i: read(i) is not UNDEFINED
     if isinstance(p, Not):
         operand = compile_pred(p.operand, space)
         return lambda i: not operand(i)
@@ -356,7 +339,7 @@ def _mask(p: PredExpr, space: StateSpace, care: int, full: int) -> int:
         return 0
     if isinstance(p, BoolConst):
         return full if p.value else 0
-    if isinstance(p, (Cmp, InDomain)):
+    if isinstance(p, Cmp):
         return _atom_mask(p, space)
     if isinstance(p, Not):
         return full ^ _mask(p.operand, space, care, full)
@@ -372,12 +355,11 @@ def _mask(p: PredExpr, space: StateSpace, care: int, full: int) -> int:
     return full ^ left ^ _mask(p.right, space, care, full)
 
 
-def _atom_mask(p: PredExpr, space: StateSpace) -> int:
+def _atom_mask(p: Cmp, space: StateSpace) -> int:
     """Evaluate the atom once per valuation of the variables it reads, then
     widen that table to the whole space, one bit character per state."""
     universe = space.universe
-    reads = (n for n in subexpressions(p) if isinstance(n, (Var, InDomain)))
-    read = sorted({universe.position(n.var if isinstance(n, InDomain) else n.name) for n in reads})
+    read = sorted({universe.position(n.name) for n in subexpressions(p) if isinstance(n, Var)})
     # the indices where every other variable takes its first value, the
     # last variable read varying fastest
     indices = [0]

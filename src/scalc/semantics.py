@@ -26,12 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .predicates import PredExpr, PredSet, UNDEFINED, compile_arith, compile_pred
+from .predicates import PredSet, UNDEFINED, compile_arith, compile_pred
 from .state_space import StateSpace
 from .syntax import (
     Assign,
     Decl,
-    IfThen,
     IfThenElse,
     Nop,
     Seq,
@@ -137,10 +136,6 @@ def successors(stmt: Stmt, space: StateSpace) -> Callable[[int], tuple[int, ...]
         pos = space.universe.position(var)
         return space.universe.vars[pos][1], space.strides[pos]
 
-    def branch(cond: PredExpr, then, orelse) -> Callable[[int], tuple[int, ...]]:
-        holds = compile_pred(cond, space)
-        return _memoised(lambda i: then(i) if holds(i) else orelse(i))
-
     def build(s: Stmt) -> Callable[[int], tuple[int, ...]]:
         if isinstance(s, Nop):
             return lambda i: (i,)
@@ -194,9 +189,9 @@ def successors(stmt: Stmt, space: StateSpace) -> Callable[[int], tuple[int, ...]
 
             return seq
         if isinstance(s, IfThenElse):
-            return branch(s.cond, build(s.then_branch), build(s.else_branch))
-        if isinstance(s, IfThen):
-            return branch(s.cond, build(s.body), build(Nop()))
+            holds = compile_pred(s.cond, space)
+            then, orelse = build(s.then_branch), build(s.else_branch)
+            return _memoised(lambda i: then(i) if holds(i) else orelse(i))
         if isinstance(s, While):
             body, guard = build(s.body), compile_pred(s.cond, space)
             solved: dict[int, tuple[int, ...]] = {}

@@ -20,7 +20,10 @@ Predicates, loosest binding first: "<->" (left), "->" (right), "||", "&&",
 starts a comment that runs to end of line.  Compound assignments and the
 increment forms are desugared during parsing, so the AST only has plain
 assignment.  Blocks fold into right-nested sequencing and leave no node of
-their own.  "else" attaches to the nearest "if".
+their own.  "else" attaches to the nearest "if".  A one-armed `if (p) s` is
+`IfThenElse(p, s, Nop())` whose else arm is a span-less `Nop`; an explicit
+`else ;` or `else {}` gives a `Nop` with a span, so each prints back as
+written.
 
 Every variable reference must be preceded by a declaration (or appear in the
 set of predeclared names handed to the parser); there is no block scoping,
@@ -29,6 +32,7 @@ and re-declaring a name is allowed.
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -43,7 +47,6 @@ from .predicates import (
     Const,
     Iff,
     Implies,
-    InDomain,
     Mul,
     Neg,
     Not,
@@ -101,13 +104,6 @@ class IfThenElse(Stmt):
 
 
 @dataclass(frozen=True)
-class IfThen(Stmt):
-    cond: PredExpr
-    body: Stmt
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
 class While(Stmt):
     cond: PredExpr
     body: Stmt
@@ -136,7 +132,7 @@ def statements(stmt: Stmt) -> Iterator[Stmt]:
             stack += (s.second, s.first)
         elif isinstance(s, IfThenElse):
             stack += (s.else_branch, s.then_branch)
-        elif isinstance(s, (IfThen, While)):
+        elif isinstance(s, While):
             stack.append(s.body)
 
 
@@ -182,12 +178,7 @@ class _Lexer:
                 self.line_starts.append(i + 1)
 
     def span(self, start: int, end: int) -> SourceSpan:
-        line = 0
-        for i, ls in enumerate(self.line_starts):
-            if ls <= start:
-                line = i
-            else:
-                break
+        line = bisect.bisect_right(self.line_starts, start) - 1
         return SourceSpan(start, end, line + 1, start - self.line_starts[line] + 1)
 
     def tokens(self) -> list[Token]:
@@ -338,10 +329,8 @@ class _Parser:
         guard = self.pred()
         self.expect(")")
         then_branch = self.stmt()
-        if self.accept("else"):
-            else_branch = self.stmt()
-            return IfThenElse(guard, then_branch, else_branch, span=start.span)
-        return IfThen(guard, then_branch, span=start.span)
+        else_branch = self.stmt() if self.accept("else") else Nop()
+        return IfThenElse(guard, then_branch, else_branch, span=start.span)
 
     def loop(self) -> Stmt:
         start = self.expect("while")
@@ -523,7 +512,7 @@ def arith_to_str(e: ArithExpr) -> str:
     raise TypeError(f"not an arithmetic expression: {e!r}")
 
 
-_PRED_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Cmp: 6, BoolConst: 6, InDomain: 6}
+_PRED_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Cmp: 6, BoolConst: 6}
 
 
 def pred_to_str(p: PredExpr) -> str:
@@ -549,15 +538,17 @@ def pred_to_str(p: PredExpr) -> str:
         return f"{wrap(p.left, 3)} -> {wrap(p.right, 2)}"
     if isinstance(p, Iff):
         return f"{wrap(p.left, 1)} <-> {wrap(p.right, 2)}"
-    if isinstance(p, InDomain):
-        # No concrete syntax exists for this atom; the marker below does not
-        # re-parse and is meant for diagnostics only.
-        return f"in_domain({p.var})"
     raise TypeError(f"not a predicate expression: {p!r}")
 
 
 def _is_simple(s: Stmt) -> bool:
     return isinstance(s, (Nop, Decl, Assign))
+
+
+def _is_one_armed(s: IfThenElse) -> bool:
+    """Parsed from `if (p) s` with no `else`: the else arm is a `Nop` no
+    source text produced."""
+    return isinstance(s.else_branch, Nop) and s.else_branch.span is None
 
 
 def _stmt_lines(s: Stmt, indent: int, lines: list[str]):
@@ -573,11 +564,9 @@ def _stmt_lines(s: Stmt, indent: int, lines: list[str]):
             _stmt_lines(s.first, indent, lines)
             s = s.second
         _stmt_lines(s, indent, lines)
-    elif isinstance(s, (IfThen, IfThenElse, While)):
+    elif isinstance(s, (IfThenElse, While)):
         if isinstance(s, While):
             head, body = f"while ({pred_to_str(s.cond)})", s.body
-        elif isinstance(s, IfThen):
-            head, body = f"if ({pred_to_str(s.cond)})", s.body
         else:
             head, body = f"if ({pred_to_str(s.cond)})", s.then_branch
         if _is_simple(body):
@@ -588,13 +577,13 @@ def _stmt_lines(s: Stmt, indent: int, lines: list[str]):
             lines.append(f"{pad}{head} {{")
             _stmt_lines(body, indent + 1, lines)
             lines.append(pad + "}")
-        if isinstance(s, IfThenElse):
+        if isinstance(s, IfThenElse) and not _is_one_armed(s):
             els = s.else_branch
             if _is_simple(els):
                 sub = []
                 _stmt_lines(els, 0, sub)
                 lines.append(f"{pad}else {sub[0]}")
-            elif isinstance(els, (IfThen, IfThenElse)):
+            elif isinstance(els, IfThenElse):
                 sub = []
                 _stmt_lines(els, 0, sub)
                 lines.append(f"{pad}else {sub[0]}")

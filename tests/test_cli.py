@@ -368,6 +368,19 @@ class TestUsageErrors:
             main(["wp", EX41, "--limit", "-1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", EX41], ["wp", EX41], ["laws", "--list"], ["export-smt", EX41], ["dump-relation", EX41]],
+        ids=lambda argv: argv[0],
+    )
+    def test_json_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --json" in captured.err
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

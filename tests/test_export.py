@@ -23,7 +23,6 @@ from scalc.predicates import (
     BoolConst,
     Cmp,
     Const,
-    InDomain,
     Mul,
     Var,
 )
@@ -37,7 +36,6 @@ from scalc.state_space import (
 )
 from scalc.syntax import (
     Assign,
-    IfThen,
     IfThenElse,
     Nop,
     Seq,
@@ -360,13 +358,6 @@ class TestBoolHandling:
         doc = make_doc("bool c;", "true", "c == 0 || c == 1", [("a", "int")])
         assert bounded_sat(doc, {"a": (0, 0), "c": (-2, 2)}) is None
 
-    def test_domain_membership_predicate(self):
-        prog = parse_program(";")
-        doc = export_vc(prog, InDomain("b"), BoolConst(True), [("b", "bool")])
-        conjuncts = _split_conjuncts(parse_document(doc.text())[3])
-        assert ["and", ["<=", "0", "b!0"], ["<=", "b!0", "1"]] in conjuncts
-        doc2 = export_vc(prog, InDomain("x"), BoolConst(True), [("x", "int")])
-        assert "true" in _split_conjuncts(parse_document(doc2.text())[3])
 
 
 class TestBranchMerging:
@@ -458,7 +449,7 @@ class TestAgreementWithFiniteVerifier:
         if r < 0.35:
             return Seq(self._stmt(rng, depth - 1), self._stmt(rng, depth - 1))
         if r < 0.6:
-            return IfThen(self._cond(rng), self._stmt(rng, depth - 1))
+            return IfThenElse(self._cond(rng), self._stmt(rng, depth - 1), Nop())
         if r < 0.9:
             return IfThenElse(
                 self._cond(rng), self._stmt(rng, depth - 1), self._stmt(rng, depth - 1)

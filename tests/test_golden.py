@@ -26,6 +26,7 @@ COMMANDS = {
     "verify-partial": ["verify", "--mode", "partial"],
     "wp": ["wp", "--limit", "10"],
     "dump-relation": ["dump-relation"],
+    "export-smt": ["export-smt", "--allow-partial-unroll", "--unroll", "2"],
 }
 CASES = [(spec, command) for spec in SPECS for command in COMMANDS]
 

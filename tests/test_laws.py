@@ -3,10 +3,12 @@
 
 import pytest
 
-from scalc.errors import UnknownLawError
+from scalc.errors import ArityMismatchError, UnboundStateVariableError, UnknownLawError
+from scalc.formulas import FAnd, Forall, PredApp, RelApp
 from scalc.laws import (
     LAWS,
     T_TEMPLATES,
+    _register_template,
     abstract_space,
     check_law,
     exhaustive_binding_count,
@@ -49,6 +51,20 @@ class TestRegistry:
     def test_every_law_has_a_title(self):
         for law in LAWS.values():
             assert law.title
+
+    @pytest.mark.parametrize(
+        "template, error",
+        [
+            (Forall("x", RelApp("S", "x", "y")), UnboundStateVariableError),
+            (Forall("x", FAnd(PredApp("S", "x"), RelApp("S", "x", "x"))), ArityMismatchError),
+        ],
+        ids=["free-state-variable", "two-arities"],
+    )
+    def test_a_bad_template_fails_when_registered(self, template, error):
+        before = dict(LAWS)
+        with pytest.raises(error):
+            _register_template("bad-template", "not a law", template)
+        assert LAWS == before
 
 
 class TestRandomBindings:

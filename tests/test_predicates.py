@@ -20,7 +20,6 @@ from scalc.predicates import (
     Const,
     Iff,
     Implies,
-    InDomain,
     Mul,
     Neg,
     Not,
@@ -125,8 +124,6 @@ def eval_pred(p, state: State) -> bool:
         return (not eval_pred(p.left, state)) or eval_pred(p.right, state)
     if isinstance(p, Iff):
         return eval_pred(p.left, state) == eval_pred(p.right, state)
-    if isinstance(p, InDomain):
-        return state.value_of(p.var) in state.universe.domain(p.var)
     raise TypeError(f"not a predicate expression: {p!r}")
 
 
@@ -210,11 +207,6 @@ class TestEvalPred:
         assert eval_pred(Cmp(">", bump, Const(0)), s) is False
         # even reflexively: an undefined value compares false to itself
         assert eval_pred(Cmp("==", bump, bump), s) is False
-
-    def test_in_domain_is_true_on_product_states(self):
-        sp = inf_space()
-        for k in (0, 17, sp.size - 1):
-            assert eval_pred(InDomain("f"), index_to_state(sp, k)) is True
 
     def test_cmp_rejects_unknown_operator(self):
         with pytest.raises(ValueError):
@@ -345,14 +337,12 @@ def random_arith(rng, names, depth):
 
 
 def random_full_pred(rng, names, depth):
-    """Every connective, InDomain and BoolConst over arithmetic atoms;
+    """Every connective and BoolConst over arithmetic atoms;
     `names` may hold a variable that is not in the universe."""
     if depth == 0 or rng.random() < 0.25:
         r = rng.random()
         if r < 0.15:
             return BoolConst(rng.random() < 0.5)
-        if r < 0.3 and names:
-            return InDomain(rng.choice(names))
         return Cmp(rng.choice(CMP_OPS), random_arith(rng, names, 2), random_arith(rng, names, 2))
     kind = rng.randrange(5)
     if kind == 0:
@@ -384,7 +374,7 @@ class TestPredToSetDifferential:
 
     def test_random_predicates_over_random_universes(self):
         rng = random.Random(0xB175)
-        seen = {kind: 0 for kind in (Not, And, Or, Implies, Iff, InDomain, BoolConst, Cmp)}
+        seen = {kind: 0 for kind in (Not, And, Or, Implies, Iff, BoolConst, Cmp)}
         seen.update({"one-point space": 0, "undefined": 0, "raises": 0, "unknown unreached": 0})
         for trial in range(800):
             universe = random_universe(rng)
@@ -437,10 +427,10 @@ class TestCompileDifferential:
 
     def test_random_expressions_over_random_universes(self):
         rng = random.Random(0xC0DE)
-        kinds = (Const, Var, Neg, Add, Sub, Mul, BoolConst, Cmp, InDomain, Not, And, Or, Implies, Iff)
+        kinds = (Const, Var, Neg, Add, Sub, Mul, BoolConst, Cmp, Not, And, Or, Implies, Iff)
         seen = {kind: 0 for kind in kinds}
         seen.update({"64-bit edge": 0, "undefined": 0, "non-contiguous": 0, "raises": 0, "unknown unreached": 0})
-        for trial in range(800):
+        for trial in range(1000):
             universe = random_universe(rng)
             space = build_space(universe)
             # only short-circuits leave an unknown variable unread, so
@@ -463,7 +453,7 @@ class TestCompileDifferential:
                     evaluation(eval_arith, n, state) is UNDEFINED for n in nodes(e) if isinstance(n, ArithExpr)
                 )
             below = list(nodes(e))
-            read = {n.name if isinstance(n, Var) else n.var for n in below if isinstance(n, (Var, InDomain))}
+            read = {n.name for n in below if isinstance(n, Var)}
             domains = [universe.domain(name) for name in read if name in universe]
             for kind in {type(n) for n in below} & set(seen):
                 seen[kind] += 1

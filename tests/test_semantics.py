@@ -10,7 +10,6 @@ from scalc.predicates import (
     BoolConst,
     Cmp,
     Const,
-    InDomain,
     Mul,
     Not,
     Or,
@@ -37,7 +36,6 @@ from scalc.state_space import (
 from scalc.syntax import (
     Assign,
     Decl,
-    IfThen,
     IfThenElse,
     Nop,
     Seq,
@@ -154,8 +152,6 @@ def relational_denote(stmt: Stmt, space) -> Relation:
             relational_denote(stmt.then_branch, space),
             relational_denote(stmt.else_branch, space),
         )
-    if isinstance(stmt, IfThen):
-        return relational_if(stmt.cond, relational_denote(stmt.body, space))
     if isinstance(stmt, While):
         return relational_while(stmt.cond, relational_denote(stmt.body, space))
     raise TypeError(f"not a statement: {stmt!r}")
@@ -180,7 +176,7 @@ def relation_stmt(relation: Relation) -> Stmt:
         row = arms[0] if arms else BoolConst(False)
         for arm in arms[1:]:
             row = Or(row, arm)
-        body = Seq(Decl(var, "int"), IfThen(Not(row), Assign(var, outside)))
+        body = Seq(Decl(var, "int"), IfThenElse(Not(row), Assign(var, outside), Nop()))
         out = IfThenElse(Cmp("==", Var(var), Const(dom.values[i])), body, out)
     return out
 
@@ -295,7 +291,7 @@ class TestDecl:
 
     def test_establishes_domain_membership(self):
         sp = space_a3()
-        v = check_total(full_set(sp), denote(Decl("a", "int"), sp), pred_to_set(InDomain("a"), sp))
+        v = check_total(full_set(sp), denote(Decl("a", "int"), sp), pred_to_set(BoolConst(True), sp))
         assert v.holds
 
     def test_cannot_establish_specific_value(self):
@@ -350,13 +346,13 @@ class TestIfForms:
             b = Cmp(rng.choice(("<", ">=", "==")), Var("a"), Const(rng.randrange(4)))
             assert relational_if(b, r) == relational_ite(b, r, identity_relation(sp))
             body = relation_stmt(r)
-            assert denote(IfThen(b, body), sp) == denote(IfThenElse(b, body, Nop()), sp)
+            assert denote(IfThenElse(b, body, Nop()), sp) == relational_if(b, r)
 
     def test_if_false_guard_is_identity(self):
         sp = space_a3()
         rng = random.Random(8)
         body = relation_stmt(random_rel(sp, rng))
-        assert denote(IfThen(BoolConst(False), body), sp) == identity_relation(sp)
+        assert denote(IfThenElse(BoolConst(False), body, Nop()), sp) == identity_relation(sp)
 
     def test_space_mismatch(self):
         with pytest.raises(SpaceMismatchError):

@@ -21,7 +21,6 @@ from scalc.predicates import (
 from scalc.syntax import (
     Assign,
     Decl,
-    IfThen,
     IfThenElse,
     Nop,
     Seq,
@@ -33,6 +32,7 @@ from scalc.syntax import (
     pred_to_str,
     pretty_print,
     seq_of,
+    tokenize,
 )
 
 
@@ -112,11 +112,12 @@ class TestParsePrograms:
         ast = parse_program(
             "if (a > 0) if (a > 1) a = 1; else a = 2;", predeclared=("a",)
         )
-        assert ast == IfThen(
+        assert ast == IfThenElse(
             Cmp(">", Var("a"), Const(0)),
             IfThenElse(
                 Cmp(">", Var("a"), Const(1)), Assign("a", Const(1)), Assign("a", Const(2))
             ),
+            Nop(),
         )
 
     def test_declaration_with_initializer_splices_flat(self):
@@ -127,8 +128,8 @@ class TestParsePrograms:
 
     def test_initialized_declaration_as_branch_body(self):
         ast = parse_program("if (x > 0) int y = 1;", predeclared=("x",))
-        assert ast == IfThen(
-            Cmp(">", Var("x"), Const(0)), Seq(Decl("y", "int"), Assign("y", Const(1)))
+        assert ast == IfThenElse(
+            Cmp(">", Var("x"), Const(0)), Seq(Decl("y", "int"), Assign("y", Const(1))), Nop()
         )
 
     def test_comments_ignored(self):
@@ -224,6 +225,49 @@ class TestPrettyPrint:
         ast = parse_program(src)
         assert parse_program(pretty_print(ast)) == ast
 
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "if (a > 0) a = 1;\n",
+            "if (a > 0) a = 1;\nelse ;\n",
+            "if (a > 0) a = 1;\nelse if (a < 0) a = 2;\n",
+            "if (a > 0) {\n    if (a > 1) a = 1;\n    else a = 2;\n}\n",
+        ],
+        ids=["one-armed", "else-empty", "else-if-one-armed", "dangling-else"],
+    )
+    def test_conditionals_print_as_written(self, src):
+        assert pretty_print(parse_program(src, predeclared=("a",))) == src
+
+    def test_dangling_else_prints_with_the_inner_if(self):
+        ast = parse_program("if (a > 0) if (a > 1) a = 1; else a = 2;", predeclared=("a",))
+        assert pretty_print(ast) == "if (a > 0) {\n    if (a > 1) a = 1;\n    else a = 2;\n}\n"
+
+    def test_an_explicit_empty_else_arm_is_kept(self):
+        ast = parse_program("if (a > 0) a = 1; else {}", predeclared=("a",))
+        assert pretty_print(ast) == "if (a > 0) a = 1;\nelse ;\n"
+        one_armed = IfThenElse(Cmp(">", Var("a"), Const(0)), Assign("a", Const(1)), Nop())
+        assert ast == one_armed
+        assert pretty_print(one_armed) == "if (a > 0) a = 1;\n"
+
+
+def test_token_positions_match_a_brute_force_count():
+    rng = random.Random(0x70C)
+    words = ("a", "bb", "if", "(", ")", "==", "12", ";", "{", "}", "// note")
+    gaps = (" ", "  ", "\t", "\n", "\n\n", "\n  ", " \n\n\t")
+    for trial in range(300):
+        parts = [rng.choice(("", "\n", "\n\n"))]
+        for _ in range(rng.randrange(1, 30)):
+            parts += [rng.choice(words), rng.choice(gaps)]
+        if parts[-2] == "// note":
+            parts[-1] = "\n"
+        source = "".join(parts)
+        for tok in tokenize(source):
+            start = tok.span.start
+            line = source.count("\n", 0, start) + 1
+            col = start - (source.rfind("\n", 0, start) + 1) + 1
+            assert (tok.span.line, tok.span.col) == (line, col), (trial, source, tok)
+
+
 
 def random_arith(rng, vars_, depth):
     if depth == 0 or rng.random() < 0.4:
@@ -279,7 +323,7 @@ def random_stmt(rng, vars_, depth):
             parts.extend(flatten_seq(random_stmt(rng, vars_, depth - 1)))
         return seq_of(parts)
     if kind == "if":
-        return IfThen(random_cond(rng, vars_, 2), random_stmt(rng, vars_, depth - 1))
+        return IfThenElse(random_cond(rng, vars_, 2), random_stmt(rng, vars_, depth - 1), Nop())
     if kind == "ite":
         return IfThenElse(
             random_cond(rng, vars_, 2),
