@@ -89,7 +89,6 @@ class _Encoder:
         self.env: dict[str, str] = {}
         self.decls: list[str] = []
         self.conjuncts: list[str] = []
-        self.pruned_loops = 0
         for name, _ in variables:
             sym = self._fresh(name)
             self.env[name] = sym
@@ -212,7 +211,6 @@ class _Encoder:
             self.conjuncts.append(f"(not {guard})")
         else:
             self.conjuncts.append(f"(=> {path} (not {guard}))")
-        self.pruned_loops += 1
 
 
 def _conj(a: str, b: str) -> str:

@@ -1,15 +1,20 @@
-"""First-order formulas over a finite state space.
+"""First-order formulas over a finite state space (S-formulas).
 
 Formula variables range over *states* (by index).  Unary symbols are bound
-to PredSets and binary symbols to Relations by an environment; evaluation is
-the usual Tarski semantics with quantifiers enumerating every state index.
-This is the engine behind the schematic law templates.
+to PredSets and binary symbols to Relations by an environment.
+`compile_sformula` turns a formula once into mask operations: a subformula
+with k free variables is the set of its satisfying valuations, a mask of
+n**k bits; connectives are integer operations, and a quantifier combines
+the blocks of its variable.  `ht_total`, `ht_partial` and `wp_formula`
+write correctness triples and wp as S-formulas.  This is the law suite's
+one engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from functools import lru_cache
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import ArityMismatchError, UnboundStateVariableError, UnboundSymbolError
 from .predicates import PredSet
@@ -80,20 +85,6 @@ class Exists(SFormula):
     body: SFormula
 
 
-def free_vars(f: SFormula) -> frozenset[str]:
-    if isinstance(f, PredApp):
-        return frozenset({f.var})
-    if isinstance(f, RelApp):
-        return frozenset({f.var1, f.var2})
-    if isinstance(f, FNot):
-        return free_vars(f.operand)
-    if isinstance(f, (FAnd, FOr, FImplies, FIff)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def subformulas(f: SFormula) -> Iterator[SFormula]:
     """f and every formula below it, left operands first."""
     yield f
@@ -118,65 +109,193 @@ Binding = Union[PredSet, Relation]
 
 
 def _check_env(f: SFormula, env: Mapping[str, Binding], space: StateSpace):
+    kinds = ("predicate", "relation")  # by arity
     for symbol, arity in symbol_arities(f).items():
         if symbol not in env:
             raise UnboundSymbolError(symbol)
         binding = env[symbol]
-        if arity == 1:
-            if not isinstance(binding, PredSet):
-                raise ArityMismatchError(symbol, "used as a predicate but bound to a relation")
-            if binding.size != space.size:
-                raise ValueError(f"symbol '{symbol}' bound over a space of size {binding.size}, expected {space.size}")
-        else:
-            if not isinstance(binding, Relation):
-                raise ArityMismatchError(symbol, "used as a relation but bound to a predicate")
-            if binding.space.size != space.size:
-                raise ValueError(f"symbol '{symbol}' bound over a space of size {binding.space.size}, expected {space.size}")
+        if not isinstance(binding, (PredSet, Relation)[arity - 1]):
+            raise ArityMismatchError(symbol, f"used as a {kinds[arity - 1]} but bound to a {kinds[2 - arity]}")
+        size = binding.size if arity == 1 else binding.space.size
+        if size != space.size:
+            raise ValueError(f"symbol '{symbol}' bound over a space of size {size}, expected {space.size}")
 
 
 def eval_sformula(f: SFormula, env: Mapping[str, Binding], space: StateSpace) -> bool:
     """Truth value of a closed formula in the finite model (space, env)."""
     _check_env(f, env, space)
-    fv = free_vars(f)
+    fv, run = compile_sformula(f)
     if fv:
-        raise UnboundStateVariableError(sorted(fv)[0])
-    return evaluate(f, env, {}, space)
+        raise UnboundStateVariableError(fv[0])
+    return bool(run(env, space.size))
 
 
-def evaluate(f: SFormula, env: Mapping[str, Binding], binding: dict[str, int], space: StateSpace) -> bool:
-    """Truth value of f with its free state variables bound by `binding`,
-    unchecked: every symbol must be bound at its arity over `space`."""
+# ---------------------------------------------------------------------------
+# the compiler
+
+Evaluator = Callable[[Mapping[str, Binding], int], int]
+
+
+def compile_sformula(f: SFormula) -> tuple[tuple[str, ...], Evaluator]:
+    """f's free state variables v_0, v_1, ... and its evaluator.
+
+    The evaluator maps an environment and a state count n to a mask of
+    n**k bits, k the number of free variables: bit sum(a_i * n**i) is set
+    when f holds with each v_i bound to state a_i.  A closed formula's mask
+    is 1 or 0.  The evaluator is unchecked: every symbol must be bound at
+    its arity over n states (see `eval_sformula`)."""
+    return _compile(f, ())
+
+
+def free_vars(f: SFormula) -> frozenset[str]:
+    """The state variables that occur free in f."""
+    return frozenset(compile_sformula(f)[0])
+
+
+@lru_cache(maxsize=1024)  # laws share subformulas, such as a triple, and so their evaluators
+def _compile(f: SFormula, scope: tuple[str, ...]) -> tuple[tuple[str, ...], Evaluator]:
+    """`scope` lists the variables bound around f, outermost first.  A
+    node's variables are ordered outermost binder first, so a quantifier
+    always reduces its body's most significant digit."""
     if isinstance(f, PredApp):
-        return binding[f.var] in env[f.symbol]
+        sym = f.symbol
+        return (f.var,), lambda env, n: env[sym].mask
+
     if isinstance(f, RelApp):
-        rel = env[f.symbol]
-        return rel.has_pair(binding[f.var1], binding[f.var2])
+        sym = f.symbol
+        fv = _order({f.var1, f.var2}, scope)
+        return fv, _align((f.var1, f.var2), lambda env, n: _pairs_mask(env[sym].succ), fv)
+
     if isinstance(f, FNot):
-        return not evaluate(f.operand, env, binding, space)
-    if isinstance(f, FAnd):
-        return evaluate(f.left, env, binding, space) and evaluate(f.right, env, binding, space)
-    if isinstance(f, FOr):
-        return evaluate(f.left, env, binding, space) or evaluate(f.right, env, binding, space)
-    if isinstance(f, FImplies):
-        return (not evaluate(f.left, env, binding, space)) or evaluate(f.right, env, binding, space)
-    if isinstance(f, FIff):
-        return evaluate(f.left, env, binding, space) == evaluate(f.right, env, binding, space)
+        fv, g = _compile(f.operand, scope)
+        k = len(fv)
+        return fv, lambda env, n: g(env, n) ^ (1 << n**k) - 1
+
+    if isinstance(f, (FAnd, FOr, FImplies, FIff)):
+        lv, l = _compile(f.left, scope)
+        rv, r = _compile(f.right, scope)
+        fv = _order(set(lv) | set(rv), scope)
+        l, r = _align(lv, l, fv), _align(rv, r, fv)
+        k = len(fv)
+        # A closed connective short-circuits, as Python's own operators do.
+        if isinstance(f, FAnd):
+            if not k:
+                return fv, lambda env, n: l(env, n) and r(env, n)
+            return fv, lambda env, n: l(env, n) & r(env, n)
+        if isinstance(f, FOr):
+            if not k:
+                return fv, lambda env, n: l(env, n) or r(env, n)
+            return fv, lambda env, n: l(env, n) | r(env, n)
+        if isinstance(f, FImplies):
+            if not k:
+                return fv, lambda env, n: r(env, n) if l(env, n) else 1
+            return fv, lambda env, n: (l(env, n) ^ (1 << n**k) - 1) | r(env, n)
+        return fv, lambda env, n: l(env, n) ^ r(env, n) ^ (1 << n**k) - 1
+
     if isinstance(f, (Forall, Exists)):
-        # Save any outer binding of the same name so shadowing restores it.
-        outer = binding.get(f.var, _UNBOUND)
-        want = isinstance(f, Exists)
-        result = not want
-        for i in range(space.size):
-            binding[f.var] = i
-            if evaluate(f.body, env, binding, space) == want:
-                result = want
-                break
-        if outer is _UNBOUND:
-            binding.pop(f.var, None)
-        else:
-            binding[f.var] = outer
-        return result
+        bv, body = _compile(f.body, scope + (f.var,))
+        if f.var not in bv:
+            bv, body = bv + (f.var,), _align(bv, body, bv + (f.var,))
+        k = len(bv)
+
+        # The body's mask is n blocks, one for each state of f.var, of a bit
+        # for each valuation of the other variables: combine the blocks.
+
+        def forall(env, n):
+            m = body(env, n)
+            width = n ** (k - 1)
+            out = (1 << width) - 1
+            for _ in range(n):
+                out &= m
+                m >>= width
+            return out
+
+        def exists(env, n):
+            m = body(env, n)
+            width = n ** (k - 1)
+            out = 0
+            for _ in range(n):
+                out |= m
+                m >>= width
+            return out & (1 << width) - 1
+
+        return bv[:-1], forall if isinstance(f, Forall) else exists
+
     raise TypeError(f"not a formula: {f!r}")
 
 
-_UNBOUND = object()
+def _order(names, scope: tuple[str, ...]) -> tuple[str, ...]:
+    """Outermost binder first, after the variables no binder in `scope`
+    binds, which come by name."""
+    depth = {v: i for i, v in enumerate(scope)}  # a later binder shadows
+    return tuple(sorted(names, key=lambda v: (depth.get(v, -1), v)))
+
+
+def _align(src: tuple[str, ...], run: Evaluator, dst: tuple[str, ...]) -> Evaluator:
+    """`run` re-indexed from the variables `src` (which may repeat one) to
+    `dst`, which holds each of them."""
+    if src == dst:
+        return run
+    picks = tuple(dst.index(v) for v in src)
+    return lambda env, n: _gather(run(env, n), n, picks, len(dst))
+
+
+@lru_cache(maxsize=16)
+def _pairs_mask(succ: tuple[int, ...]) -> int:
+    """A relation's pairs as one mask of n*n bits: bit i + j*n is (i, j)."""
+    n = len(succ)
+    m = 0
+    for i, row in enumerate(succ):
+        bit = 1 << i
+        while row:
+            if row & 1:
+                m |= bit
+            row >>= 1
+            bit <<= n
+    return m
+
+
+@lru_cache(maxsize=1024)
+def _gather(m: int, n: int, picks: tuple[int, ...], width: int) -> int:
+    """m, over the variables at positions `picks`, re-indexed by `width`
+    variables."""
+    out = 0
+    for t in range(n**width):
+        s = sum(t // n**p % n * n**i for i, p in enumerate(picks))
+        out |= (m >> s & 1) << t
+    return out
+
+
+# ---------------------------------------------------------------------------
+# triples and wp as S-formulas
+
+OnePlace = Union[str, Callable[[str], SFormula]]
+
+
+def _at(p: OnePlace, v: str) -> SFormula:
+    """A one-place predicate, a symbol or a formula maker, applied to v."""
+    return PredApp(p, v) if isinstance(p, str) else p(v)
+
+
+def _wlp(rel: str, post: OnePlace, x: str) -> SFormula:
+    """Every S-successor of x satisfies Q."""
+    y = x + "'"
+    return Forall(y, FImplies(RelApp(rel, x, y), _at(post, y)))
+
+
+def wp_formula(rel: str, post: OnePlace, x: str = "x") -> SFormula:
+    """wp(S, Q) with free variable x: x has an S-successor, and every
+    S-successor of x satisfies Q (Dijkstra 1975)."""
+    return FAnd(Exists(x + "'", RelApp(rel, x, x + "'")), _wlp(rel, post, x))
+
+
+def ht_total(pre: OnePlace, rel: str, post: OnePlace) -> SFormula:
+    """The total-correctness triple {P} S {Q}:
+    forall x. P(x) -> (exists y. S(x,y)) and forall y. (S(x,y) -> Q(y))."""
+    return Forall("x", FImplies(_at(pre, "x"), wp_formula(rel, post)))
+
+
+def ht_partial(pre: OnePlace, rel: str, post: OnePlace) -> SFormula:
+    """The partial-correctness triple {P} S {Q}:
+    forall x. P(x) -> forall y. (S(x,y) -> Q(y))."""
+    return Forall("x", FImplies(_at(pre, "x"), _wlp(rel, post, "x")))

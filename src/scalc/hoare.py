@@ -7,8 +7,8 @@ Both are decided by direct enumeration, scanning initial states in index
 order so the reported counterexample is always the one with the smallest
 initial index (ties broken by smallest final index).
 
-`check_total`, `check_partial` and `wp` read a `Relation`, as the law
-suite builds them.  `verify` and `program_wp` read a program's one
+`check_total`, `check_partial` and `wp` read a `Relation`; the law suite
+states them as S-formulas.  `verify` and `program_wp` read a program's one
 semantics, `semantics.successors`, row by row without a relation: `verify`
 only from the precondition's states, evaluating the postcondition only on
 the finals it reaches, and `program_wp` from every state once.
@@ -123,14 +123,10 @@ def program_wp(program: Stmt, post: PredExpr, space: StateSpace) -> PredSet:
 
 @dataclass(frozen=True)
 class Report:
-    """Everything a verification run produced, JSON-ready."""
+    """The mode and verdict of a verification run, JSON-ready."""
 
     mode: str
     verdict: Verdict
-    space: StateSpace
-    pre: PredExpr
-    post: PredExpr
-    program: Stmt
 
     def to_json_dict(self) -> dict:
         cx = self.verdict.counterexample
@@ -183,12 +179,4 @@ def verify(program: Stmt, pre: PredExpr, post: PredExpr, mode: str, space: State
                 break
         if cx is not None:
             break
-    stats = CheckStats(states, pairs)
-    return Report(
-        mode=mode,
-        verdict=Verdict(cx is None, cx, stats),
-        space=space,
-        pre=pre,
-        post=post,
-        program=program,
-    )
+    return Report(mode, Verdict(cx is None, cx, CheckStats(states, pairs)))

@@ -1,9 +1,11 @@
 """Executable law suite: algebraic facts about triples, wp, and quantifiers.
 
-Every registered law is either a set-level fact about total-correctness
-triples / weakest preconditions (checked through check_total and wp on
-explicit sets) or a closed first-order template, checked once when it is
-registered and then evaluated on every trial.
+Every registered law is a closed S-formula (see `formulas`).  The laws
+about total-correctness triples and weakest preconditions are stated
+through the paper's definitions, `formulas.ht_total` and
+`formulas.wp_formula`, over one relation symbol S; the quantifier schemas
+are plain first-order templates.  Each formula is checked and compiled once,
+when it is registered, and its compiled masks run on every trial.
 Laws are checked on small abstract spaces with three binding strategies:
 
 * forced boundary bindings (empty/full predicate sets; empty/full/identity
@@ -22,10 +24,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Union
+from typing import Iterator
 
 from .errors import UnboundStateVariableError, UnknownLawError
 from .formulas import (
+    Binding,
+    Evaluator,
     Exists,
     FAnd,
     FIff,
@@ -36,11 +40,11 @@ from .formulas import (
     PredApp,
     RelApp,
     SFormula,
-    evaluate,
-    free_vars,
+    compile_sformula,
+    ht_total,
     symbol_arities,
+    wp_formula,
 )
-from .hoare import check_total, wp
 from .predicates import PredSet
 from .rng import SplitMix64, derive_seed
 from .semantics import (
@@ -56,8 +60,8 @@ DEFAULT_TRIALS = 200
 DEFAULT_SIZES = (1, 2, 3, 4)
 EXHAUSTIVE_LIMIT = 5000
 _EXHAUSTIVE_HARD_CAP = 1 << 20
-
-Binding = Union[PredSet, Relation]
+# symbols every trial binds alike: the full and the empty predicate set
+FIXED = {"tau": PredSet.full, "phi": PredSet.empty}
 
 
 @lru_cache(maxsize=None)
@@ -87,11 +91,11 @@ def random_relation(space: StateSpace, seed: int) -> Relation:
 class Law:
     name: str
     title: str
+    formula: SFormula
     pred_symbols: tuple[str, ...]
     rel_symbols: tuple[str, ...]
-    checker: Callable[[Mapping[str, Binding], StateSpace], bool]
-    fixed_full: tuple[str, ...] = ()
-    fixed_empty: tuple[str, ...] = ()
+    checker: Evaluator
+    fixed: tuple[str, ...] = ()
     expect_violations: bool = False
 
 
@@ -120,433 +124,201 @@ class LawResult:
 LAWS: dict[str, Law] = {}
 
 
-def _register(
-    name: str,
-    title: str,
-    preds: str,
-    rels: str,
-    checker,
-    fixed_full=(),
-    fixed_empty=(),
-    expect_violations=False,
-):
+def _register(name: str, title: str, formula: SFormula, expect_violations: bool = False):
+    """Register the law that the closed `formula` holds.  Each trial binds
+    exactly the formula's own symbols, at their arities and over the
+    trial's space (the `FIXED` ones as that table says), so the formula is
+    checked and compiled here once, and every trial runs the compiled
+    masks without `eval_sformula`'s checks."""
+    fv, checker = compile_sformula(formula)
+    if fv:
+        raise UnboundStateVariableError(fv[0])
+    arities = symbol_arities(formula)
     LAWS[name] = Law(
         name,
         title,
-        tuple(preds.split()) if preds else (),
-        tuple(rels.split()) if rels else (),
+        formula,
+        tuple(sorted(sym for sym, a in arities.items() if a == 1 and sym not in FIXED)),
+        tuple(sorted(sym for sym, a in arities.items() if a == 2)),
         checker,
-        tuple(fixed_full),
-        tuple(fixed_empty),
+        tuple(sym for sym in FIXED if sym in arities),
         expect_violations,
     )
 
 
-def _ht(p: PredSet, s: Relation, q: PredSet) -> bool:
-    return check_total(p, s, q).holds
-
-
-def _imp(a: bool, b: bool) -> bool:
-    return (not a) or b
-
-
-def _range_set(s: Relation) -> PredSet:
-    """All states reachable as a final state of any pair."""
-    mask = 0
-    for m in s.succ:
-        mask |= m
-    return PredSet(s.space.size, mask)
-
-
-def _has_bad_pair(s: Relation, q: PredSet) -> bool:
-    """Some pair of s ends outside q."""
-    return any(m & ~q.mask for m in s.succ)
-
-
 # ---------------------------------------------------------------------------
-# triple and wp laws (set level; every triple goes through check_total)
+# the catalog: triple and wp laws over one relation S, then quantifier
+# schemas.  A one-place predicate is a function from a variable to a formula.
 
 
-def _install_triple_laws():
-    E = PredSet.empty
-    F = PredSet.full
-
-    _register(
-        "thm3.1a",
-        "strengthening the precondition preserves a triple",
-        "P R Q",
-        "S",
-        lambda b, sp: _imp(
-            b["P"].subset_of(b["R"]) and _ht(b["R"], b["S"], b["Q"]),
-            _ht(b["P"], b["S"], b["Q"]),
-        ),
-    )
-    _register(
-        "thm3.1b",
-        "weakening the postcondition preserves a triple",
-        "P R Q",
-        "S",
-        lambda b, sp: _imp(
-            _ht(b["P"], b["S"], b["R"]) and b["R"].subset_of(b["Q"]),
-            _ht(b["P"], b["S"], b["Q"]),
-        ),
-    )
-    _register(
-        "thm3.1c",
-        "consequence applied on both sides of a triple",
-        "U P Q V",
-        "S",
-        lambda b, sp: _imp(
-            b["U"].subset_of(b["P"])
-            and b["Q"].subset_of(b["V"])
-            and _ht(b["P"], b["S"], b["Q"]),
-            _ht(b["U"], b["S"], b["V"]),
-        ),
-    )
-    _register(
-        "thm3.2a",
-        "two triples over one program disjoin pointwise",
-        "P Q R W",
-        "S",
-        lambda b, sp: _imp(
-            _ht(b["P"], b["S"], b["Q"]) and _ht(b["R"], b["S"], b["W"]),
-            _ht(b["P"] | b["R"], b["S"], b["Q"] | b["W"]),
-        ),
-    )
-    _register(
-        "thm3.2b",
-        "two triples over one program conjoin pointwise",
-        "P Q R W",
-        "S",
-        lambda b, sp: _imp(
-            _ht(b["P"], b["S"], b["Q"]) and _ht(b["R"], b["S"], b["W"]),
-            _ht(b["P"] & b["R"], b["S"], b["Q"] & b["W"]),
-        ),
-    )
-    _register(
-        "cor3.1",
-        "case split over a predicate and its negation covers every state",
-        "P Q W",
-        "S",
-        lambda b, sp: _imp(
-            _ht(b["P"], b["S"], b["Q"]) and _ht(~b["P"], b["S"], b["W"]),
-            _ht(F(sp.size), b["S"], b["Q"] | b["W"]),
-        ),
-    )
-    _register(
-        "thm3.3",
-        "either of two triples bounds the conjoined-precondition triple",
-        "P Q R W",
-        "S",
-        lambda b, sp: _imp(
-            _ht(b["P"], b["S"], b["Q"]) or _ht(b["R"], b["S"], b["W"]),
-            _ht(b["P"] & b["R"], b["S"], b["Q"] | b["W"]),
-        ),
-    )
-    _register(
-        "thm3.4a",
-        "a disjunctive precondition splits into two triples",
-        "P R Q",
-        "S",
-        lambda b, sp: _ht(b["P"] | b["R"], b["S"], b["Q"])
-        == (_ht(b["P"], b["S"], b["Q"]) and _ht(b["R"], b["S"], b["Q"])),
-    )
-    _register(
-        "thm3.4b",
-        "a conjunctive postcondition splits into two triples",
-        "P Q R",
-        "S",
-        lambda b, sp: _ht(b["P"], b["S"], b["Q"] & b["R"])
-        == (_ht(b["P"], b["S"], b["Q"]) and _ht(b["P"], b["S"], b["R"])),
-    )
-    _register(
-        "thm3.4c",
-        "disjunctive precondition and conjunctive postcondition split four ways",
-        "P U Q W",
-        "S",
-        lambda b, sp: _ht(b["P"] | b["U"], b["S"], b["Q"] & b["W"])
-        == (
-            _ht(b["P"], b["S"], b["Q"])
-            and _ht(b["U"], b["S"], b["W"])
-            and _ht(b["P"], b["S"], b["W"])
-            and _ht(b["U"], b["S"], b["Q"])
-        ),
-    )
-    _register(
-        "thm3.4d",
-        "either postcondition alternative implies their disjunction",
-        "P Q W",
-        "S",
-        lambda b, sp: _imp(
-            _ht(b["P"], b["S"], b["Q"]) or _ht(b["P"], b["S"], b["W"]),
-            _ht(b["P"], b["S"], b["Q"] | b["W"]),
-        ),
-    )
-    _register(
-        "thm3.5",
-        "only an unsatisfiable precondition establishes the false postcondition",
-        "P",
-        "S",
-        lambda b, sp: _ht(b["P"], b["S"], E(sp.size)) == b["P"].is_empty(),
-    )
-    _register(
-        "thm3.6a",
-        "contradictory postconditions exclude overlapping preconditions",
-        "P Q R",
-        "S",
-        lambda b, sp: _imp(
-            _ht(b["P"], b["S"], b["Q"]) and _ht(b["R"], b["S"], ~b["Q"]),
-            (b["P"] & b["R"]).is_empty(),
-        ),
-    )
-    _register(
-        "thm3.6b",
-        "one precondition establishing Q and not-Q must be unsatisfiable",
-        "P Q",
-        "S",
-        lambda b, sp: (_ht(b["P"], b["S"], b["Q"]) and _ht(b["P"], b["S"], ~b["Q"]))
-        == b["P"].is_empty(),
-    )
-    _register(
-        "thm3.6c",
-        "postcondition negation flips the triple exactly on satisfiable preconditions",
-        "P Q",
-        "S",
-        lambda b, sp: _imp(_ht(b["P"], b["S"], ~b["Q"]), not _ht(b["P"], b["S"], b["Q"]))
-        == (not b["P"].is_empty()),
-    )
-    _register(
-        "thm3.6d",
-        "complementary preconditions characterize totality with a universal postcondition",
-        "P Q",
-        "S",
-        lambda b, sp: (_ht(b["P"], b["S"], b["Q"]) and _ht(~b["P"], b["S"], b["Q"]))
-        == (b["S"].domain_set().is_full() and _range_set(b["S"]).subset_of(b["Q"])),
-    )
-    _register(
-        "thm3.6e",
-        "a reachable bad outcome makes complementary triples exclusive",
-        "P Q",
-        "S",
-        lambda b, sp: _imp(
-            _has_bad_pair(b["S"], b["Q"]),
-            _imp(_ht(~b["P"], b["S"], b["Q"]), not _ht(b["P"], b["S"], b["Q"])),
-        ),
-    )
-    _register(
-        "cor3.2",
-        "unsatisfiable precondition, stated as equivalence with falsehood",
-        "P Q",
-        "S",
-        lambda b, sp: (_ht(b["P"], b["S"], b["Q"]) and _ht(b["P"], b["S"], ~b["Q"]))
-        == b["P"].is_empty(),
-    )
-    _register(
-        "cor3.3",
-        "satisfiable precondition, stated as non-equivalence with falsehood",
-        "P Q",
-        "S",
-        lambda b, sp: _imp(_ht(b["P"], b["S"], ~b["Q"]), not _ht(b["P"], b["S"], b["Q"]))
-        == (not b["P"].is_empty()),
-    )
-    _register(
-        "thm5.2",
-        "wp of the false postcondition is empty",
-        "",
-        "S",
-        lambda b, sp: wp(b["S"], E(sp.size)).is_empty(),
-    )
-    _register(
-        "thm5.3",
-        "wp is monotone in the postcondition",
-        "Q R",
-        "S",
-        lambda b, sp: _imp(
-            b["Q"].subset_of(b["R"]), wp(b["S"], b["Q"]).subset_of(wp(b["S"], b["R"]))
-        ),
-    )
-    _register(
-        "thm5.4",
-        "wp distributes over conjunction exactly",
-        "Q R",
-        "S",
-        lambda b, sp: (wp(b["S"], b["Q"]) & wp(b["S"], b["R"]))
-        == wp(b["S"], b["Q"] & b["R"]),
-    )
-    _register(
-        "thm5.5",
-        "wp half-distributes over disjunction",
-        "Q R",
-        "S",
-        lambda b, sp: (wp(b["S"], b["Q"]) | wp(b["S"], b["R"])).subset_of(
-            wp(b["S"], b["Q"] | b["R"])
-        ),
-    )
-    _register(
-        "thm5.6",
-        "no state guarantees both a postcondition and its negation",
-        "Q",
-        "S",
-        lambda b, sp: (wp(b["S"], b["Q"]) & wp(b["S"], ~b["Q"])).is_empty(),
-    )
-    _register(
-        "thm5.7",
-        "a triple holds exactly when the precondition entails wp",
-        "P Q",
-        "S",
-        lambda b, sp: _ht(b["P"], b["S"], b["Q"]) == b["P"].subset_of(wp(b["S"], b["Q"])),
-    )
-    # negative controls on the triple/wp side
-    _register(
-        "negative-control-1",
-        "broken variant: a single triple cannot bound the disjoined-precondition triple",
-        "P Q R W",
-        "S",
-        lambda b, sp: _imp(
-            _ht(b["P"], b["S"], b["Q"]) or _ht(b["R"], b["S"], b["W"]),
-            _ht(b["P"] | b["R"], b["S"], b["Q"] | b["W"]),
-        ),
-        expect_violations=True,
-    )
-    _register(
-        "negative-control-2",
-        "broken variant: wp does not fully distribute over disjunction",
-        "Q R",
-        "S",
-        lambda b, sp: wp(b["S"], b["Q"] | b["R"]).subset_of(
-            wp(b["S"], b["Q"]) | wp(b["S"], b["R"])
-        ),
-        expect_violations=True,
-    )
-    _register(
-        "thm3.6d-variant",
-        "broken variant: universal postcondition applied to the initial state",
-        "P Q",
-        "S",
-        lambda b, sp: (_ht(b["P"], b["S"], b["Q"]) and _ht(~b["P"], b["S"], b["Q"]))
-        == (b["S"].domain_set().is_full() and b["S"].domain_set().subset_of(b["Q"])),
-        expect_violations=True,
-    )
-    _register(
-        "thm3.6e-converse",
-        "broken variant: exclusivity of complementary triples does not force a bad outcome",
-        "P Q",
-        "S",
-        lambda b, sp: _imp(
-            _imp(_ht(~b["P"], b["S"], b["Q"]), not _ht(b["P"], b["S"], b["Q"])),
-            _has_bad_pair(b["S"], b["Q"]),
-        ),
-        expect_violations=True,
-    )
+def _p(sym: str):
+    return lambda v: PredApp(sym, v)
 
 
-# ---------------------------------------------------------------------------
-# quantifier schemas (closed first-order templates)
-
-T_SCHEMA_TITLES = {
-    "t1": "adjacent universal quantifiers commute",
-    "t2": "a uniform witness serves every instance",
-    "t3": "quantifying a closed formula changes nothing",
-    "t4": "universal quantification distributes over conjunction",
-    "t5": "disjoined universals imply a universal disjunction",
-    "t6": "a negated universal is an existential negation",
-    "t7": "universal truth equals pointwise equivalence with truth",
-    "t8": "a true antecedent can be dropped",
-    "t9": "universal falsity equals pointwise equivalence with falsehood",
-    "t10": "conjunction with itself changes nothing",
-    "t11": "a formula implies its disjunction with anything",
-    "t12": "negated conjunctions split into disjoined negations",
-    "t13": "negated disjunctions split into conjoined negations",
-    "t14": "a universal implication carries universals along",
-    "t15": "implication rewrites as disjunction with the negated antecedent",
-    "t16": "implication chains compose",
-    "t17": "implications combine across disjunction",
-    "t18": "implications combine across conjunction",
-    "t19": "a shared antecedent factors out of conjoined implications",
-    "t20": "a shared antecedent factors out of disjoined implications",
-    "t21": "a shared consequent factors out of disjoined antecedents",
-    "t22": "disjoined implications bound the combined implication",
-    "t11-variant": "broken variant: the absorption implication is not an equivalence",
-    "t20-variant": "broken variant: conjoined implications do not match the disjunctive consequent",
-}
+def _or(a, b):
+    return lambda v: FOr(a(v), b(v))
 
 
-def _build_t_templates() -> dict[str, SFormula]:
-    def p(sym: str, v: str = "x") -> SFormula:
-        return PredApp(sym, v)
+def _and(a, b):
+    return lambda v: FAnd(a(v), b(v))
+
+
+def _not(a):
+    return lambda v: FNot(a(v))
+
+
+def _subset(a, b) -> SFormula:
+    return Forall("x", FImplies(a("x"), b("x")))
+
+
+def _empty(a) -> SFormula:
+    return Forall("x", FNot(a("x")))
+
+
+def _catalog() -> list[tuple[str, str, SFormula]]:
+    A, O, I, E, N = FAnd, FOr, FImplies, FIff, FNot
+    fa, ex = Forall, Exists
+    P, Q, R, U, V, W = map(_p, "PQRUVW")
+
+    def ht(pre, post):
+        return ht_total(pre, "S", post)
+
+    def wp(post):
+        return lambda v: wp_formula("S", post, v)
 
     def s(a: str, b: str) -> SFormula:
         return RelApp("S", a, b)
 
     x, y, u = "x", "y", "u"
-    F, G, H, K = p("F"), p("G"), p("H"), p("K")
-    tau, phi = p("tau"), p("phi")
-    A, O, I, E, N = FAnd, FOr, FImplies, FIff, FNot
-    fa, ex = Forall, Exists
+    total = fa(x, ex(y, s(x, y)))
+    bad_pair = ex(x, ex(y, A(s(x, y), N(Q(y)))))
+    exclusive = I(ht(_not(P), Q), N(ht(P, Q)))
+    F, G, H, K = (PredApp(c, x) for c in "FGHK")
+    tau, phi = PredApp("tau", x), PredApp("phi", x)
+    closed = ex(u, PredApp("F", u))
+    return [
+        ("thm3.1a", "strengthening the precondition preserves a triple",
+         I(A(_subset(P, R), ht(R, Q)), ht(P, Q))),
+        ("thm3.1b", "weakening the postcondition preserves a triple",
+         I(A(ht(P, R), _subset(R, Q)), ht(P, Q))),
+        ("thm3.1c", "consequence applied on both sides of a triple",
+         I(A(A(_subset(U, P), _subset(Q, V)), ht(P, Q)), ht(U, V))),
+        ("thm3.2a", "two triples over one program disjoin pointwise",
+         I(A(ht(P, Q), ht(R, W)), ht(_or(P, R), _or(Q, W)))),
+        ("thm3.2b", "two triples over one program conjoin pointwise",
+         I(A(ht(P, Q), ht(R, W)), ht(_and(P, R), _and(Q, W)))),
+        ("cor3.1", "case split over a predicate and its negation covers every state",
+         I(A(ht(P, Q), ht(_not(P), W)), ht("tau", _or(Q, W)))),
+        ("thm3.3", "either of two triples bounds the conjoined-precondition triple",
+         I(O(ht(P, Q), ht(R, W)), ht(_and(P, R), _or(Q, W)))),
+        ("thm3.4a", "a disjunctive precondition splits into two triples",
+         E(ht(_or(P, R), Q), A(ht(P, Q), ht(R, Q)))),
+        ("thm3.4b", "a conjunctive postcondition splits into two triples",
+         E(ht(P, _and(Q, R)), A(ht(P, Q), ht(P, R)))),
+        ("thm3.4c", "disjunctive precondition and conjunctive postcondition split four ways",
+         E(ht(_or(P, U), _and(Q, W)), A(A(A(ht(P, Q), ht(U, W)), ht(P, W)), ht(U, Q)))),
+        ("thm3.4d", "either postcondition alternative implies their disjunction",
+         I(O(ht(P, Q), ht(P, W)), ht(P, _or(Q, W)))),
+        ("thm3.5", "only an unsatisfiable precondition establishes the false postcondition",
+         E(ht(P, "phi"), _empty(P))),
+        ("thm3.6a", "contradictory postconditions exclude overlapping preconditions",
+         I(A(ht(P, Q), ht(R, _not(Q))), _empty(_and(P, R)))),
+        ("thm3.6b", "one precondition establishing Q and not-Q must be unsatisfiable",
+         E(A(ht(P, Q), ht(P, _not(Q))), _empty(P))),
+        ("thm3.6c", "postcondition negation flips the triple exactly on satisfiable preconditions",
+         E(I(ht(P, _not(Q)), N(ht(P, Q))), N(_empty(P)))),
+        ("thm3.6d", "complementary preconditions characterize totality with a universal postcondition",
+         E(A(ht(P, Q), ht(_not(P), Q)), A(total, fa(x, fa(y, I(s(x, y), Q(y))))))),
+        ("thm3.6e", "a reachable bad outcome makes complementary triples exclusive",
+         I(bad_pair, exclusive)),
+        ("cor3.2", "unsatisfiable precondition, stated as equivalence with falsehood",
+         E(A(ht(P, Q), ht(P, _not(Q))), _empty(P))),
+        ("cor3.3", "satisfiable precondition, stated as non-equivalence with falsehood",
+         E(I(ht(P, _not(Q)), N(ht(P, Q))), N(_empty(P)))),
+        ("thm5.2", "wp of the false postcondition is empty",
+         _empty(wp("phi"))),
+        ("thm5.3", "wp is monotone in the postcondition",
+         I(_subset(Q, R), _subset(wp(Q), wp(R)))),
+        ("thm5.4", "wp distributes over conjunction exactly",
+         fa(x, E(_and(wp(Q), wp(R))(x), wp(_and(Q, R))(x)))),
+        ("thm5.5", "wp half-distributes over disjunction",
+         _subset(_or(wp(Q), wp(R)), wp(_or(Q, R)))),
+        ("thm5.6", "no state guarantees both a postcondition and its negation",
+         _empty(_and(wp(Q), wp(_not(Q))))),
+        ("thm5.7", "a triple holds exactly when the precondition entails wp",
+         E(ht(P, Q), _subset(P, wp(Q)))),
+        ("negative-control-1", "broken variant: a single triple cannot bound the disjoined-precondition triple",
+         I(O(ht(P, Q), ht(R, W)), ht(_or(P, R), _or(Q, W)))),
+        ("negative-control-2", "broken variant: wp does not fully distribute over disjunction",
+         _subset(wp(_or(Q, R)), _or(wp(Q), wp(R)))),
+        ("thm3.6d-variant", "broken variant: universal postcondition applied to the initial state",
+         E(A(ht(P, Q), ht(_not(P), Q)), A(total, fa(x, I(ex(y, s(x, y)), Q(x)))))),
+        ("thm3.6e-converse", "broken variant: exclusivity of complementary triples does not force a bad outcome",
+         I(exclusive, bad_pair)),
+        ("t1", "adjacent universal quantifiers commute",
+         E(fa(x, fa(y, s(x, y))), fa(y, fa(x, s(x, y))))),
+        ("t2", "a uniform witness serves every instance",
+         I(ex(x, fa(y, s(x, y))), fa(y, ex(x, s(x, y))))),
+        ("t3", "quantifying a closed formula changes nothing",
+         E(fa(x, closed), closed)),
+        ("t4", "universal quantification distributes over conjunction",
+         E(fa(x, A(F, G)), A(fa(x, F), fa(x, G)))),
+        ("t5", "disjoined universals imply a universal disjunction",
+         I(O(fa(x, F), fa(x, G)), fa(x, O(F, G)))),
+        ("t6", "a negated universal is an existential negation",
+         fa(y, E(N(fa(x, s(x, y))), ex(x, N(s(x, y)))))),
+        ("t7", "universal truth equals pointwise equivalence with truth",
+         E(fa(x, F), fa(x, E(F, tau)))),
+        ("t8", "a true antecedent can be dropped",
+         E(fa(x, I(tau, F)), fa(x, F))),
+        ("t9", "universal falsity equals pointwise equivalence with falsehood",
+         E(fa(x, N(F)), fa(x, E(F, phi)))),
+        ("t10", "conjunction with itself changes nothing",
+         fa(x, E(F, A(F, F)))),
+        ("t11", "a formula implies its disjunction with anything",
+         fa(x, I(F, O(F, G)))),
+        ("t12", "negated conjunctions split into disjoined negations",
+         E(fa(x, O(N(F), N(G))), fa(x, N(A(F, G))))),
+        ("t13", "negated disjunctions split into conjoined negations",
+         E(fa(x, A(N(F), N(G))), fa(x, N(O(F, G))))),
+        ("t14", "a universal implication carries universals along",
+         I(fa(x, I(F, G)), I(fa(x, F), fa(x, G)))),
+        ("t15", "implication rewrites as disjunction with the negated antecedent",
+         E(fa(x, I(F, G)), fa(x, O(N(F), G)))),
+        ("t16", "implication chains compose",
+         I(fa(x, A(I(F, H), I(H, G))), fa(x, I(F, G)))),
+        ("t17", "implications combine across disjunction",
+         I(fa(x, A(I(F, G), I(H, K))), fa(x, I(O(F, H), O(G, K))))),
+        ("t18", "implications combine across conjunction",
+         I(fa(x, A(I(F, G), I(H, K))), fa(x, I(A(F, H), A(G, K))))),
+        ("t19", "a shared antecedent factors out of conjoined implications",
+         E(fa(x, A(I(F, G), I(F, H))), fa(x, I(F, A(G, H))))),
+        ("t20", "a shared antecedent factors out of disjoined implications",
+         E(fa(x, O(I(F, G), I(F, H))), fa(x, I(F, O(G, H))))),
+        ("t21", "a shared consequent factors out of disjoined antecedents",
+         E(fa(x, A(I(F, H), I(G, H))), fa(x, I(O(F, G), H)))),
+        ("t22", "disjoined implications bound the combined implication",
+         I(fa(x, O(I(F, G), I(H, K))), fa(x, I(A(F, H), O(G, K))))),
+        ("t11-variant", "broken variant: the absorption implication is not an equivalence",
+         fa(x, E(F, O(F, G)))),
+        ("t20-variant", "broken variant: conjoined implications do not match the disjunctive consequent",
+         E(fa(x, A(I(F, G), I(F, H))), fa(x, I(F, O(G, H))))),
+    ]
 
-    closed = ex(u, p("F", u))
-    t: dict[str, SFormula] = {
-        "t1": E(fa(x, fa(y, s(x, y))), fa(y, fa(x, s(x, y)))),
-        "t2": I(ex(x, fa(y, s(x, y))), fa(y, ex(x, s(x, y)))),
-        "t3": E(fa(x, closed), closed),
-        "t4": E(fa(x, A(F, G)), A(fa(x, F), fa(x, G))),
-        "t5": I(O(fa(x, F), fa(x, G)), fa(x, O(F, G))),
-        "t6": fa(y, E(N(fa(x, s(x, y))), ex(x, N(s(x, y))))),
-        "t7": E(fa(x, F), fa(x, E(F, tau))),
-        "t8": E(fa(x, I(tau, F)), fa(x, F)),
-        "t9": E(fa(x, N(F)), fa(x, E(F, phi))),
-        "t10": fa(x, E(F, A(F, F))),
-        "t11": fa(x, I(F, O(F, G))),
-        "t12": E(fa(x, O(N(F), N(G))), fa(x, N(A(F, G)))),
-        "t13": E(fa(x, A(N(F), N(G))), fa(x, N(O(F, G)))),
-        "t14": I(fa(x, I(F, G)), I(fa(x, F), fa(x, G))),
-        "t15": E(fa(x, I(F, G)), fa(x, O(N(F), G))),
-        "t16": I(fa(x, A(I(F, H), I(H, G))), fa(x, I(F, G))),
-        "t17": I(fa(x, A(I(F, G), I(H, K))), fa(x, I(O(F, H), O(G, K)))),
-        "t18": I(fa(x, A(I(F, G), I(H, K))), fa(x, I(A(F, H), A(G, K)))),
-        "t19": E(fa(x, A(I(F, G), I(F, H))), fa(x, I(F, A(G, H)))),
-        "t20": E(fa(x, O(I(F, G), I(F, H))), fa(x, I(F, O(G, H)))),
-        "t21": E(fa(x, A(I(F, H), I(G, H))), fa(x, I(O(F, G), H))),
-        "t22": I(fa(x, O(I(F, G), I(H, K))), fa(x, I(A(F, H), O(G, K)))),
-        "t11-variant": fa(x, E(F, O(F, G))),
-        "t20-variant": E(fa(x, A(I(F, G), I(F, H))), fa(x, I(F, O(G, H)))),
+
+NEGATIVE_CONTROLS = frozenset(
+    {
+        "negative-control-1",
+        "negative-control-2",
+        "thm3.6d-variant",
+        "thm3.6e-converse",
+        "t11-variant",
+        "t20-variant",
     }
-    return t
+)
 
-
-T_TEMPLATES = _build_t_templates()
-
-
-def _register_template(name: str, title: str, template: SFormula):
-    """Register the law that `template` holds.  Each trial binds exactly the
-    template's own symbols, at their arities and over the trial's space, so
-    the template is checked here once, closed and with one arity per symbol,
-    and every trial evaluates it without `eval_sformula`'s checks."""
-    fv = free_vars(template)
-    if fv:
-        raise UnboundStateVariableError(sorted(fv)[0])
-    arities = symbol_arities(template)
-    preds = sorted(sym for sym, a in arities.items() if a == 1 and sym not in ("tau", "phi"))
-    rels = sorted(sym for sym, a in arities.items() if a == 2)
-    _register(
-        name,
-        title,
-        " ".join(preds),
-        " ".join(rels),
-        lambda env, space: evaluate(template, env, {}, space),
-        fixed_full=("tau",) if "tau" in arities else (),
-        fixed_empty=("phi",) if "phi" in arities else (),
-        expect_violations=name.endswith("-variant"),
-    )
-
-
-def _install_t_schemas():
-    for name, template in T_TEMPLATES.items():
-        _register_template(name, T_SCHEMA_TITLES[name], template)
-
-
-_install_triple_laws()
-_install_t_schemas()
+for _entry in _catalog():
+    _register(*_entry, expect_violations=_entry[0] in NEGATIVE_CONTROLS)
 
 
 # ---------------------------------------------------------------------------
@@ -554,12 +326,7 @@ _install_t_schemas()
 
 
 def _fixed_env(law: Law, space: StateSpace) -> dict[str, Binding]:
-    env: dict[str, Binding] = {}
-    for sym in law.fixed_full:
-        env[sym] = PredSet.full(space.size)
-    for sym in law.fixed_empty:
-        env[sym] = PredSet.empty(space.size)
-    return env
+    return {sym: FIXED[sym](space.size) for sym in law.fixed}
 
 
 def _boundary_envs(law: Law, space: StateSpace) -> Iterator[dict[str, Binding]]:
@@ -596,19 +363,10 @@ def _exhaustive_envs(law: Law, space: StateSpace) -> Iterator[dict[str, Binding]
 
 def _random_env(law: Law, space: StateSpace, seed: int, trial: int) -> dict[str, Binding]:
     env = _fixed_env(law, space)
-    for sym in law.pred_symbols:
-        env[sym] = random_predset(
-            space, derive_seed(seed, f"{law.name}/{space.size}/{trial}/{sym}")
-        )
-    for sym in law.rel_symbols:
-        env[sym] = random_relation(
-            space, derive_seed(seed, f"{law.name}/{space.size}/{trial}/{sym}")
-        )
+    for sym in law.pred_symbols + law.rel_symbols:
+        draw = random_predset if sym in law.pred_symbols else random_relation
+        env[sym] = draw(space, derive_seed(seed, f"{law.name}/{space.size}/{trial}/{sym}"))
     return env
-
-
-def _instance(law: Law, space: StateSpace, label: str, seed: int, env: Mapping[str, Binding]) -> LawInstance:
-    return LawInstance(law.name, space.size, label, seed, tuple(sorted(env.items())))
 
 
 def get_law(name: str) -> Law:
@@ -638,31 +396,30 @@ def check_law(
     violations: list[LawInstance] = []
     count = 0
 
-    def run(env: dict[str, Binding], space: StateSpace, label: str, inst_seed: int):
+    def run(space: StateSpace, phase: str, envs: Iterator[dict[str, Binding]]):
         nonlocal count
-        count += 1
-        if not law.checker(env, space):
-            violations.append(_instance(law, space, label, inst_seed, env))
+        for idx, env in enumerate(envs):
+            count += 1
+            if not law.checker(env, space.size):
+                # a random trial replays from its seed, any other from its index
+                inst_seed = derive_seed(seed, f"{law.name}/{space.size}/{idx}") if phase == "random" else idx
+                bindings = tuple(sorted(env.items()))
+                violations.append(LawInstance(law.name, space.size, f"{phase}-{idx}", inst_seed, bindings))
 
     for size in sizes:
         space = abstract_space(size)
+        total = exhaustive_binding_count(law, size)
         if exhaustive_only:
-            total = exhaustive_binding_count(law, size)
             if total > _EXHAUSTIVE_HARD_CAP:
                 raise ValueError(
                     f"law '{name}' has {total} bindings at size {size}; too many to enumerate"
                 )
-            for idx, env in enumerate(_exhaustive_envs(law, space)):
-                run(env, space, f"exhaustive-{idx}", idx)
+            run(space, "exhaustive", _exhaustive_envs(law, space))
             continue
-        for idx, env in enumerate(_boundary_envs(law, space)):
-            run(env, space, f"boundary-{idx}", idx)
-        if exhaustive_binding_count(law, size) <= EXHAUSTIVE_LIMIT:
-            for idx, env in enumerate(_exhaustive_envs(law, space)):
-                run(env, space, f"exhaustive-{idx}", idx)
-        for trial in range(trials):
-            env = _random_env(law, space, seed, trial)
-            run(env, space, f"random-{trial}", derive_seed(seed, f"{law.name}/{size}/{trial}"))
+        run(space, "boundary", _boundary_envs(law, space))
+        if total <= EXHAUSTIVE_LIMIT:
+            run(space, "exhaustive", _exhaustive_envs(law, space))
+        run(space, "random", (_random_env(law, space, seed, trial) for trial in range(trials)))
     return LawResult(law.name, count, tuple(violations))
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .predicates import PredSet, UNDEFINED, compile_arith, compile_pred
+from .predicates import UNDEFINED, compile_arith, compile_pred
 from .state_space import StateSpace
 from .syntax import (
     Assign,
@@ -56,9 +56,6 @@ class Relation:
     def has_pair(self, i: int, j: int) -> bool:
         return bool(self.succ[i] >> j & 1)
 
-    def successors_mask(self, i: int) -> int:
-        return self.succ[i]
-
     def pairs(self) -> Iterator[tuple[int, int]]:
         """All (initial, final) pairs, ordered by initial then final index."""
         for i, m in enumerate(self.succ):
@@ -69,14 +66,6 @@ class Relation:
 
     def pair_count(self) -> int:
         return sum(m.bit_count() for m in self.succ)
-
-    def domain_set(self) -> PredSet:
-        """Indices that have at least one successor."""
-        mask = 0
-        for i, m in enumerate(self.succ):
-            if m:
-                mask |= 1 << i
-        return PredSet(self.space.size, mask)
 
 
 def empty_relation(space: StateSpace) -> Relation:

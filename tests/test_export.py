@@ -484,7 +484,7 @@ class TestAgreementWithFiniteVerifier:
             for v in self.VARS:
                 state = state.updated(v, model[f"{v}!0"])
             rel = denote(prog, space)
-            mask = rel.successors_mask(state_to_index(space, state))
+            mask = rel.succ[state_to_index(space, state)]
             final = index_to_state(space, mask.bit_length() - 1)
             assert mask.bit_count() == 1
             assert not eval_pred(post, final)

@@ -1,7 +1,9 @@
 """Formula evaluation is checked two ways: pinned cases, and agreement with
 a deliberately naive reference evaluator on randomly generated closed
-formulas."""
+formulas.  The triple and wp builders are checked against `hoare`'s direct
+enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -21,13 +23,19 @@ from scalc.formulas import (
     Forall,
     PredApp,
     RelApp,
+    compile_sformula,
     eval_sformula,
     free_vars,
+    ht_partial,
+    ht_total,
     symbol_arities,
+    wp_formula,
 )
+from scalc.hoare import check_partial, check_total, wp
 from scalc.laws import abstract_space, random_predset, random_relation
 from scalc.predicates import PredSet
-from scalc.semantics import identity_relation
+from scalc.semantics import Relation, identity_relation
+from scalc.state_space import Domain, StateSpace, VarUniverse
 
 
 def reference_eval(f, env, space, assign):
@@ -192,9 +200,62 @@ def test_agreement_with_reference_evaluator():
         )
 
 
+def test_agreement_on_a_space_without_states():
+    # quantifiers over no state: every universal holds, every existential fails
+    sp = StateSpace(VarUniverse((("s", Domain("s", ())),)), 0, (1,))
+    rng = random.Random(0x0E)
+    for _ in range(200):
+        f = random_formula(rng, (), rng.randrange(1, 5))
+        env = {
+            sym: PredSet.empty(0) if arity == 1 else Relation(sp, ())
+            for sym, arity in symbol_arities(f).items()
+        }
+        assert eval_sformula(f, env, sp) == reference_eval(f, env, sp, {}), f
+
+
 def test_evaluation_does_not_mutate_env():
     sp = abstract_space(2)
     env = {"P": PredSet.full(2)}
     before = dict(env)
     eval_sformula(Forall("x", PredApp("P", "x")), env, sp)
     assert env == before
+
+
+def triple_bindings():
+    """(space, P, S, Q): every binding at sizes 1 and 2, then 300 random
+    ones at each of sizes 3 to 5."""
+    for size in (1, 2):
+        sp = abstract_space(size)
+        sets = [PredSet(size, m) for m in range(2**size)]
+        rels = [
+            Relation(sp, tuple(code >> (size * i) & (2**size - 1) for i in range(size)))
+            for code in range(2 ** (size * size))
+        ]
+        for p, s, q in itertools.product(sets, rels, sets):
+            yield sp, p, s, q
+    rng = random.Random(0x7E57)
+    for size in (3, 4, 5):
+        sp = abstract_space(size)
+        for _ in range(300):
+            p, q = (random_predset(sp, rng.getrandbits(64)) for _ in "PQ")
+            yield sp, p, random_relation(sp, rng.getrandbits(64)), q
+
+
+class TestTriplesAreSFormulas:
+    """The paper's thesis: a correctness triple is an S-formula, and so is wp."""
+
+    def test_ht_total_is_check_total(self):
+        f = ht_total("P", "S", "Q")
+        for sp, p, s, q in triple_bindings():
+            assert eval_sformula(f, {"P": p, "S": s, "Q": q}, sp) == check_total(p, s, q).holds
+
+    def test_ht_partial_is_check_partial(self):
+        f = ht_partial("P", "S", "Q")
+        for sp, p, s, q in triple_bindings():
+            assert eval_sformula(f, {"P": p, "S": s, "Q": q}, sp) == check_partial(p, s, q).holds
+
+    def test_wp_formula_is_wp(self):
+        fv, run = compile_sformula(wp_formula("S", "Q"))
+        assert fv == ("x",)
+        for sp, _, s, q in triple_bindings():
+            assert run({"S": s, "Q": q}, sp.size) == wp(s, q).mask

@@ -1,14 +1,21 @@
 """The law suite checked here at reduced sizes/trials; the full-strength run
-(default sizes and trial counts) lives in the acceptance tests."""
+(default sizes and trial counts) lives in the acceptance tests.  The laws
+about triples and wp are also checked, binding by binding, against set-level
+restatements over `check_total` and `wp`, the oracle of their S-formulas."""
+
+import re
 
 import pytest
 
 from scalc.errors import ArityMismatchError, UnboundStateVariableError, UnknownLawError
-from scalc.formulas import FAnd, Forall, PredApp, RelApp
+from scalc.formulas import FAnd, Forall, PredApp, RelApp, eval_sformula, free_vars
+from scalc.hoare import check_total, wp
 from scalc.laws import (
     LAWS,
-    T_TEMPLATES,
-    _register_template,
+    _boundary_envs,
+    _exhaustive_envs,
+    _random_env,
+    _register,
     abstract_space,
     check_law,
     exhaustive_binding_count,
@@ -18,6 +25,8 @@ from scalc.laws import (
     registered_laws,
     run_laws,
 )
+from scalc.predicates import PredSet
+from scalc.rng import derive_seed
 from scalc.state_space import Domain, StateSpace, VarUniverse
 
 NEGATIVE_CONTROLS = (
@@ -44,9 +53,13 @@ class TestRegistry:
         with pytest.raises(UnknownLawError):
             check_law("nonsense")
 
-    def test_t_schema_catalog_is_separate(self):
-        assert "t1" in T_TEMPLATES and "t22" in T_TEMPLATES
-        assert "thm3.5" in LAWS and "thm3.5" not in T_TEMPLATES
+    def test_every_law_is_a_compiled_closed_formula(self):
+        assert len(LAWS) == 53
+        sp = abstract_space(2)
+        for law in LAWS.values():
+            assert free_vars(law.formula) == frozenset()
+            for env in _boundary_envs(law, sp):
+                assert bool(law.checker(env, sp.size)) == eval_sformula(law.formula, env, sp)
 
     def test_every_law_has_a_title(self):
         for law in LAWS.values():
@@ -63,7 +76,7 @@ class TestRegistry:
     def test_a_bad_template_fails_when_registered(self, template, error):
         before = dict(LAWS)
         with pytest.raises(error):
-            _register_template("bad-template", "not a law", template)
+            _register("bad-template", "not a law", template)
         assert LAWS == before
 
 
@@ -114,12 +127,22 @@ class TestNegativeControls:
         assert len(result.violations) >= 1
         assert not result.ok
 
+    def test_random_violations_carry_their_replay_seed(self):
+        result = check_law("negative-control-2", trials=30, sizes=(3,), seed=77)
+        random_hits = [inst for inst in result.violations if inst.label.startswith("random-")]
+        assert random_hits
+        for inst in random_hits:
+            trial = int(inst.label.removeprefix("random-"))
+            assert inst.seed == derive_seed(77, f"negative-control-2/3/{trial}")
+            law = get_law("negative-control-2")
+            assert dict(inst.bindings) == _random_env(law, abstract_space(3), 77, trial)
+
     def test_violation_instances_replay(self):
         result = check_law("negative-control-1", trials=0, sizes=(1, 2))
         law = get_law("negative-control-1")
         for inst in result.violations[:5]:
             env = dict(inst.bindings)
-            assert not law.checker(env, abstract_space(inst.size))
+            assert not law.checker(env, inst.size)
 
 
 class TestDeterminism:
@@ -166,3 +189,151 @@ class TestRunLaws:
     def test_named_subset(self):
         results = run_laws(["thm3.3", "t7"], trials=5, sizes=(1, 2))
         assert [r.law for r in results] == ["thm3.3", "t7"]
+
+
+# ---------------------------------------------------------------------------
+# the set-level oracle of the triple and wp laws
+
+
+def _ht(p, s, q):
+    return check_total(p, s, q).holds
+
+
+def _imp(a, b):
+    return (not a) or b
+
+
+def _domain_set(s):
+    """All states with some successor."""
+    return PredSet.from_indices(s.space.size, (i for i, m in enumerate(s.succ) if m))
+
+
+def _range_set(s):
+    """All states reachable as a final state of any pair."""
+    mask = 0
+    for m in s.succ:
+        mask |= m
+    return PredSet(s.space.size, mask)
+
+
+def _has_bad_pair(s, q):
+    """Some pair of s ends outside q."""
+    return any(m & ~q.mask for m in s.succ)
+
+
+E = PredSet.empty
+F = PredSet.full
+SET_LEVEL = {
+    "thm3.1a": lambda b, sp: _imp(
+        b["P"].subset_of(b["R"]) and _ht(b["R"], b["S"], b["Q"]), _ht(b["P"], b["S"], b["Q"])
+    ),
+    "thm3.1b": lambda b, sp: _imp(
+        _ht(b["P"], b["S"], b["R"]) and b["R"].subset_of(b["Q"]), _ht(b["P"], b["S"], b["Q"])
+    ),
+    "thm3.1c": lambda b, sp: _imp(
+        b["U"].subset_of(b["P"]) and b["Q"].subset_of(b["V"]) and _ht(b["P"], b["S"], b["Q"]),
+        _ht(b["U"], b["S"], b["V"]),
+    ),
+    "thm3.2a": lambda b, sp: _imp(
+        _ht(b["P"], b["S"], b["Q"]) and _ht(b["R"], b["S"], b["W"]),
+        _ht(b["P"] | b["R"], b["S"], b["Q"] | b["W"]),
+    ),
+    "thm3.2b": lambda b, sp: _imp(
+        _ht(b["P"], b["S"], b["Q"]) and _ht(b["R"], b["S"], b["W"]),
+        _ht(b["P"] & b["R"], b["S"], b["Q"] & b["W"]),
+    ),
+    "cor3.1": lambda b, sp: _imp(
+        _ht(b["P"], b["S"], b["Q"]) and _ht(~b["P"], b["S"], b["W"]),
+        _ht(F(sp.size), b["S"], b["Q"] | b["W"]),
+    ),
+    "thm3.3": lambda b, sp: _imp(
+        _ht(b["P"], b["S"], b["Q"]) or _ht(b["R"], b["S"], b["W"]),
+        _ht(b["P"] & b["R"], b["S"], b["Q"] | b["W"]),
+    ),
+    "thm3.4a": lambda b, sp: _ht(b["P"] | b["R"], b["S"], b["Q"])
+    == (_ht(b["P"], b["S"], b["Q"]) and _ht(b["R"], b["S"], b["Q"])),
+    "thm3.4b": lambda b, sp: _ht(b["P"], b["S"], b["Q"] & b["R"])
+    == (_ht(b["P"], b["S"], b["Q"]) and _ht(b["P"], b["S"], b["R"])),
+    "thm3.4c": lambda b, sp: _ht(b["P"] | b["U"], b["S"], b["Q"] & b["W"])
+    == (
+        _ht(b["P"], b["S"], b["Q"])
+        and _ht(b["U"], b["S"], b["W"])
+        and _ht(b["P"], b["S"], b["W"])
+        and _ht(b["U"], b["S"], b["Q"])
+    ),
+    "thm3.4d": lambda b, sp: _imp(
+        _ht(b["P"], b["S"], b["Q"]) or _ht(b["P"], b["S"], b["W"]),
+        _ht(b["P"], b["S"], b["Q"] | b["W"]),
+    ),
+    "thm3.5": lambda b, sp: _ht(b["P"], b["S"], E(sp.size)) == b["P"].is_empty(),
+    "thm3.6a": lambda b, sp: _imp(
+        _ht(b["P"], b["S"], b["Q"]) and _ht(b["R"], b["S"], ~b["Q"]), (b["P"] & b["R"]).is_empty()
+    ),
+    "thm3.6b": lambda b, sp: (_ht(b["P"], b["S"], b["Q"]) and _ht(b["P"], b["S"], ~b["Q"]))
+    == b["P"].is_empty(),
+    "thm3.6c": lambda b, sp: _imp(_ht(b["P"], b["S"], ~b["Q"]), not _ht(b["P"], b["S"], b["Q"]))
+    == (not b["P"].is_empty()),
+    "thm3.6d": lambda b, sp: (_ht(b["P"], b["S"], b["Q"]) and _ht(~b["P"], b["S"], b["Q"]))
+    == (_domain_set(b["S"]).is_full() and _range_set(b["S"]).subset_of(b["Q"])),
+    "thm3.6e": lambda b, sp: _imp(
+        _has_bad_pair(b["S"], b["Q"]),
+        _imp(_ht(~b["P"], b["S"], b["Q"]), not _ht(b["P"], b["S"], b["Q"])),
+    ),
+    "cor3.2": lambda b, sp: (_ht(b["P"], b["S"], b["Q"]) and _ht(b["P"], b["S"], ~b["Q"]))
+    == b["P"].is_empty(),
+    "cor3.3": lambda b, sp: _imp(_ht(b["P"], b["S"], ~b["Q"]), not _ht(b["P"], b["S"], b["Q"]))
+    == (not b["P"].is_empty()),
+    "thm5.2": lambda b, sp: wp(b["S"], E(sp.size)).is_empty(),
+    "thm5.3": lambda b, sp: _imp(
+        b["Q"].subset_of(b["R"]), wp(b["S"], b["Q"]).subset_of(wp(b["S"], b["R"]))
+    ),
+    "thm5.4": lambda b, sp: (wp(b["S"], b["Q"]) & wp(b["S"], b["R"])) == wp(b["S"], b["Q"] & b["R"]),
+    "thm5.5": lambda b, sp: (wp(b["S"], b["Q"]) | wp(b["S"], b["R"])).subset_of(
+        wp(b["S"], b["Q"] | b["R"])
+    ),
+    "thm5.6": lambda b, sp: (wp(b["S"], b["Q"]) & wp(b["S"], ~b["Q"])).is_empty(),
+    "thm5.7": lambda b, sp: _ht(b["P"], b["S"], b["Q"]) == b["P"].subset_of(wp(b["S"], b["Q"])),
+    "negative-control-1": lambda b, sp: _imp(
+        _ht(b["P"], b["S"], b["Q"]) or _ht(b["R"], b["S"], b["W"]),
+        _ht(b["P"] | b["R"], b["S"], b["Q"] | b["W"]),
+    ),
+    "negative-control-2": lambda b, sp: wp(b["S"], b["Q"] | b["R"]).subset_of(
+        wp(b["S"], b["Q"]) | wp(b["S"], b["R"])
+    ),
+    "thm3.6d-variant": lambda b, sp: (_ht(b["P"], b["S"], b["Q"]) and _ht(~b["P"], b["S"], b["Q"]))
+    == (_domain_set(b["S"]).is_full() and _domain_set(b["S"]).subset_of(b["Q"])),
+    "thm3.6e-converse": lambda b, sp: _imp(
+        _imp(_ht(~b["P"], b["S"], b["Q"]), not _ht(b["P"], b["S"], b["Q"])),
+        _has_bad_pair(b["S"], b["Q"]),
+    ),
+}
+
+
+def _set_level_bindings(law, sp):
+    """Every binding at sizes 1-2; boundary plus 200 random ones above."""
+    if sp.size <= 2:
+        yield from _exhaustive_envs(law, sp)
+        return
+    yield from _boundary_envs(law, sp)
+    for trial in range(200):
+        yield _random_env(law, sp, 0xC0FFEE, trial)
+
+
+class TestSetLevelOracle:
+    def test_the_oracle_covers_every_triple_and_wp_law(self):
+        assert len(SET_LEVEL) == 29 and set(SET_LEVEL) <= set(LAWS)
+        # the rest are the quantifier schemas t1..t22 and their two variants
+        assert all(re.match(r"t\d", name) for name in set(LAWS) - set(SET_LEVEL))
+
+    @pytest.mark.parametrize("name", sorted(SET_LEVEL))
+    def test_formula_agrees_with_the_set_level_check(self, name):
+        law, oracle = get_law(name), SET_LEVEL[name]
+        verdicts = set()
+        for size in (1, 2, 3, 4):
+            sp = abstract_space(size)
+            for env in _set_level_bindings(law, sp):
+                want = oracle(env, sp)
+                assert bool(law.checker(env, size)) == want, (name, size, sorted(env.items()))
+                verdicts.add(want)
+        # the negative controls must be seen to fail somewhere
+        assert verdicts == ({True, False} if law.expect_violations else {True})

@@ -48,7 +48,7 @@ def assert_same_reports(program, pre, post, space, label=""):
     relation = relational_denote(program, space)
     p, q = pointwise_pred_to_set(pre, space), pointwise_pred_to_set(post, space)
     for mode, check in (("total", check_total), ("partial", check_partial)):
-        want = Report(mode, check(p, relation, q), space, pre, post, program)
+        want = Report(mode, check(p, relation, q))
         got = verify(program, pre, post, mode, space)
         context = f"{label} {mode}:\n{pretty_print(program)}"
         assert got.to_json_dict() == want.to_json_dict(), context
@@ -73,7 +73,7 @@ def test_random_programs_match_the_relational_check():
         pre = random_cond(rng, VARS, 2)
         post = BoolConst(True) if rng.random() < 0.1 else random_cond(rng, VARS, 2)
         relation, p, q = assert_same_reports(program, pre, post, space, f"trial {trial}")
-        rows = [relation.successors_mask(i) for i in p.indices()]
+        rows = [relation.succ[i] for i in p.indices()]
         seen["havoc"] += contains(program, Decl)
         seen["loop"] += contains(program, While)
         seen["stuck"] += any(m == 0 for m in rows)
@@ -89,7 +89,7 @@ def diverges(loop: While, space) -> bool:
     body = relational_denote(loop.body, space)
     endless = guard.mask
     while True:
-        keep = sum(1 << h for h in guard.indices() if endless >> h & 1 and body.successors_mask(h) & endless)
+        keep = sum(1 << h for h in guard.indices() if endless >> h & 1 and body.succ[h] & endless)
         if keep == endless:
             return endless != 0
         endless = keep
@@ -117,7 +117,7 @@ def test_denote_is_relational_denote():
         order = list(range(space.size))
         rng.shuffle(order)
         for i in order:
-            m = want.successors_mask(i)
+            m = want.succ[i]
             assert finals_of(i) == tuple(j for j in range(space.size) if m >> j & 1), f"state {i}, {context}"
         diverging = any(diverges(loop, space) for loop in loops(program))
         seen["havoc"] += contains(program, Decl)
