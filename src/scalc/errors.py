@@ -108,6 +108,10 @@ class UnknownLawError(ScalcError):
         self.name = name
 
 
+class TooManyBindingsError(ScalcError, ValueError):
+    """An exhaustive law check would enumerate more bindings than it may."""
+
+
 class UnsupportedForExportError(ScalcError):
     def __init__(self, detail: str):
         super().__init__(detail)

@@ -2,10 +2,13 @@
 
 Formula variables range over *states* (by index).  Unary symbols are bound
 to PredSets and binary symbols to Relations by an environment.
-`compile_sformula` turns a formula once into mask operations: a subformula
+`compile_lanes` turns a formula once into mask operations: a subformula
 with k free variables is the set of its satisfying valuations, a mask of
 n**k bits; connectives are integer operations, and a quantifier combines
-the blocks of its variable.  `ht_total`, `ht_partial` and `wp_formula`
+the blocks of its variable.  The masks of L environments, the lanes, run
+at once: each valuation's bit becomes L bits, lane t lowest, so every
+width scales by L.  `compile_sformula` is the one-lane case, over
+`PredSet`s and `Relation`s.  `ht_total`, `ht_partial` and `wp_formula`
 write correctness triples and wp as S-formulas.  This is the law suite's
 one engine.
 """
@@ -134,6 +137,7 @@ def eval_sformula(f: SFormula, env: Mapping[str, Binding], space: StateSpace) ->
 # the compiler
 
 Evaluator = Callable[[Mapping[str, Binding], int], int]
+LaneEvaluator = Callable[[Mapping[str, int], int, int], int]
 
 
 def compile_sformula(f: SFormula) -> tuple[tuple[str, ...], Evaluator]:
@@ -143,7 +147,19 @@ def compile_sformula(f: SFormula) -> tuple[tuple[str, ...], Evaluator]:
     n**k bits, k the number of free variables: bit sum(a_i * n**i) is set
     when f holds with each v_i bound to state a_i.  A closed formula's mask
     is 1 or 0.  The evaluator is unchecked: every symbol must be bound at
-    its arity over n states (see `eval_sformula`)."""
+    its arity over n states (see `eval_sformula`).  It is the one-lane case
+    of `compile_lanes`."""
+    fv, run, _ = _compile(f, ())
+    return fv, lambda env, n: run({sym: binding_mask(b) for sym, b in env.items()}, n, 1)
+
+
+def compile_lanes(f: SFormula) -> tuple[tuple[str, ...], LaneEvaluator, int]:
+    """f's free state variables, its evaluator on L environments at once (the
+    lanes), and the most variables any mask of the evaluation has.  The
+    evaluator maps the symbols' masks, n and L to a mask of L * n**k bits:
+    bit t + L*v is bit v of lane t's `compile_sformula` mask.  A symbol's mask
+    has bit t + L*i when state i is in lane t's set, t + L*(i + j*n) when the
+    pair (i, j) is in lane t's relation."""
     return _compile(f, ())
 
 
@@ -153,73 +169,64 @@ def free_vars(f: SFormula) -> frozenset[str]:
 
 
 @lru_cache(maxsize=1024)  # laws share subformulas, such as a triple, and so their evaluators
-def _compile(f: SFormula, scope: tuple[str, ...]) -> tuple[tuple[str, ...], Evaluator]:
+def _compile(f: SFormula, scope: tuple[str, ...]) -> tuple[tuple[str, ...], LaneEvaluator, int]:
     """`scope` lists the variables bound around f, outermost first.  A
-    node's variables are ordered outermost binder first, so a quantifier
-    always reduces its body's most significant digit."""
+    node's variables are ordered outermost binder first, above the lane
+    digit, so a quantifier always reduces its body's most significant
+    digit.  A left operand that decides every lane skips the right one."""
     if isinstance(f, PredApp):
         sym = f.symbol
-        return (f.var,), lambda env, n: env[sym].mask
+        return (f.var,), lambda env, n, L: env[sym], 1
 
     if isinstance(f, RelApp):
         sym = f.symbol
         fv = _order({f.var1, f.var2}, scope)
-        return fv, _align((f.var1, f.var2), lambda env, n: _pairs_mask(env[sym].succ), fv)
+        return fv, _align((f.var1, f.var2), lambda env, n, L: env[sym], fv), 2
 
     if isinstance(f, FNot):
-        fv, g = _compile(f.operand, scope)
+        fv, g, width = _compile(f.operand, scope)
         k = len(fv)
-        return fv, lambda env, n: g(env, n) ^ (1 << n**k) - 1
+        return fv, lambda env, n, L: g(env, n, L) ^ (1 << L * n**k) - 1, width
 
     if isinstance(f, (FAnd, FOr, FImplies, FIff)):
-        lv, l = _compile(f.left, scope)
-        rv, r = _compile(f.right, scope)
+        lv, l, lw = _compile(f.left, scope)
+        rv, r, rw = _compile(f.right, scope)
         fv = _order(set(lv) | set(rv), scope)
         l, r = _align(lv, l, fv), _align(rv, r, fv)
-        k = len(fv)
-        # A closed connective short-circuits, as Python's own operators do.
-        if isinstance(f, FAnd):
-            if not k:
-                return fv, lambda env, n: l(env, n) and r(env, n)
-            return fv, lambda env, n: l(env, n) & r(env, n)
-        if isinstance(f, FOr):
-            if not k:
-                return fv, lambda env, n: l(env, n) or r(env, n)
-            return fv, lambda env, n: l(env, n) | r(env, n)
-        if isinstance(f, FImplies):
-            if not k:
-                return fv, lambda env, n: r(env, n) if l(env, n) else 1
-            return fv, lambda env, n: (l(env, n) ^ (1 << n**k) - 1) | r(env, n)
-        return fv, lambda env, n: l(env, n) ^ r(env, n) ^ (1 << n**k) - 1
+        k, kind = len(fv), type(f)
+
+        def run(env, n, L):
+            m, ones = l(env, n, L), (1 << L * n**k) - 1
+            if kind is FIff:
+                return m ^ r(env, n, L) ^ ones
+            if kind is FImplies:
+                m ^= ones  # a -> b is (not a) or b
+            if kind is FAnd:
+                return m and m & r(env, n, L)
+            return m if m == ones else m | r(env, n, L)
+
+        return fv, run, max(lw, rw, k)
 
     if isinstance(f, (Forall, Exists)):
-        bv, body = _compile(f.body, scope + (f.var,))
+        bv, body, width = _compile(f.body, scope + (f.var,))
         if f.var not in bv:
             bv, body = bv + (f.var,), _align(bv, body, bv + (f.var,))
         k = len(bv)
 
-        # The body's mask is n blocks, one for each state of f.var, of a bit
+        every = isinstance(f, Forall)
+
+        # The body's mask is n blocks, one for each state of f.var, of a lane
         # for each valuation of the other variables: combine the blocks.
-
-        def forall(env, n):
-            m = body(env, n)
-            width = n ** (k - 1)
-            out = (1 << width) - 1
+        def quantify(env, n, L):
+            m, block = body(env, n, L), L * n ** (k - 1)
+            ones = (1 << block) - 1
+            out = ones if every else 0
             for _ in range(n):
-                out &= m
-                m >>= width
-            return out
+                out = out & m if every else out | m
+                m >>= block
+            return out & ones
 
-        def exists(env, n):
-            m = body(env, n)
-            width = n ** (k - 1)
-            out = 0
-            for _ in range(n):
-                out |= m
-                m >>= width
-            return out & (1 << width) - 1
-
-        return bv[:-1], forall if isinstance(f, Forall) else exists
+        return bv[:-1], quantify, max(width, k)
 
     raise TypeError(f"not a formula: {f!r}")
 
@@ -231,21 +238,23 @@ def _order(names, scope: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(sorted(names, key=lambda v: (depth.get(v, -1), v)))
 
 
-def _align(src: tuple[str, ...], run: Evaluator, dst: tuple[str, ...]) -> Evaluator:
+def _align(src: tuple[str, ...], run: LaneEvaluator, dst: tuple[str, ...]) -> LaneEvaluator:
     """`run` re-indexed from the variables `src` (which may repeat one) to
     `dst`, which holds each of them."""
     if src == dst:
         return run
     picks = tuple(dst.index(v) for v in src)
-    return lambda env, n: _gather(run(env, n), n, picks, len(dst))
+    return lambda env, n, L: _gather(run(env, n, L), L, _sources(n, picks, len(dst)))
 
 
 @lru_cache(maxsize=16)
-def _pairs_mask(succ: tuple[int, ...]) -> int:
-    """A relation's pairs as one mask of n*n bits: bit i + j*n is (i, j)."""
-    n = len(succ)
-    m = 0
-    for i, row in enumerate(succ):
+def binding_mask(b: Binding) -> int:
+    """One lane's mask of a binding: a set's mask, or a relation's pairs as
+    n*n bits, bit i + j*n for the pair (i, j)."""
+    if isinstance(b, PredSet):
+        return b.mask
+    n, m = len(b.succ), 0
+    for i, row in enumerate(b.succ):
         bit = 1 << i
         while row:
             if row & 1:
@@ -255,14 +264,18 @@ def _pairs_mask(succ: tuple[int, ...]) -> int:
     return m
 
 
-@lru_cache(maxsize=1024)
-def _gather(m: int, n: int, picks: tuple[int, ...], width: int) -> int:
-    """m, over the variables at positions `picks`, re-indexed by `width`
-    variables."""
-    out = 0
-    for t in range(n**width):
-        s = sum(t // n**p % n * n**i for i, p in enumerate(picks))
-        out |= (m >> s & 1) << t
+@lru_cache(maxsize=256)
+def _sources(n: int, picks: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """For each valuation of `width` variables, the valuation of the
+    variables at positions `picks`."""
+    return tuple(sum(t // n**p % n * n**i for i, p in enumerate(picks)) for t in range(n**width))
+
+
+def _gather(m: int, L: int, sources: tuple[int, ...]) -> int:
+    """Lane block t of the result is lane block sources[t] of m."""
+    out, lane = 0, (1 << L) - 1
+    for t, s in enumerate(sources):
+        out |= (m >> s * L & lane) << t * L
     return out
 
 

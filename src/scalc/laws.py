@@ -14,6 +14,10 @@ Laws are checked on small abstract spaces with three binding strategies:
   (always at sizes 1 and 2 for the shapes used here),
 * seeded random trials, reproducible from (seed, law, size, trial, symbol).
 
+A phase's bindings at one size run as the lanes of one evaluation (see
+`formulas.compile_lanes`), in chunks of as many lanes as keep every mask
+within `LANE_BITS` bits; only a violation is built as sets and relations.
+
 A handful of registered entries are deliberate non-theorems (negative
 controls).  They prove the machinery can detect falsehood and are excluded
 from the default run.
@@ -21,12 +25,13 @@ from the default run.
 
 from __future__ import annotations
 
-import itertools
+import math
+import struct
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
+from functools import lru_cache, partial
+from operator import itemgetter
 
-from .errors import UnboundStateVariableError, UnknownLawError
+from .errors import TooManyBindingsError, UnboundStateVariableError, UnknownLawError
 from .formulas import (
     Binding,
     Evaluator,
@@ -37,22 +42,19 @@ from .formulas import (
     FNot,
     FOr,
     Forall,
+    LaneEvaluator,
     PredApp,
     RelApp,
     SFormula,
+    compile_lanes,
     compile_sformula,
     ht_total,
     symbol_arities,
     wp_formula,
 )
 from .predicates import PredSet
-from .rng import SplitMix64, derive_seed
-from .semantics import (
-    Relation,
-    empty_relation,
-    full_relation,
-    identity_relation,
-)
+from .rng import SplitMix64, derive_seeds, lane_bits
+from .semantics import Relation
 from .state_space import Domain, StateSpace, VarUniverse, build_space
 
 DEFAULT_SEED = 0x5CA1C0DE
@@ -60,6 +62,7 @@ DEFAULT_TRIALS = 200
 DEFAULT_SIZES = (1, 2, 3, 4)
 EXHAUSTIVE_LIMIT = 5000
 _EXHAUSTIVE_HARD_CAP = 1 << 20
+LANE_BITS = 1 << 16  # a chunk holds as many lanes as keep its widest mask within this
 # symbols every trial binds alike: the full and the empty predicate set
 FIXED = {"tau": PredSet.full, "phi": PredSet.empty}
 
@@ -95,6 +98,8 @@ class Law:
     pred_symbols: tuple[str, ...]
     rel_symbols: tuple[str, ...]
     checker: Evaluator
+    lanes: LaneEvaluator
+    width: int  # variables of the widest mask the evaluation makes
     fixed: tuple[str, ...] = ()
     expect_violations: bool = False
 
@@ -131,6 +136,7 @@ def _register(name: str, title: str, formula: SFormula, expect_violations: bool 
     checked and compiled here once, and every trial runs the compiled
     masks without `eval_sformula`'s checks."""
     fv, checker = compile_sformula(formula)
+    _, lanes, width = compile_lanes(formula)
     if fv:
         raise UnboundStateVariableError(fv[0])
     arities = symbol_arities(formula)
@@ -141,6 +147,8 @@ def _register(name: str, title: str, formula: SFormula, expect_violations: bool 
         tuple(sorted(sym for sym, a in arities.items() if a == 1 and sym not in FIXED)),
         tuple(sorted(sym for sym, a in arities.items() if a == 2)),
         checker,
+        lanes,
+        width,
         tuple(sym for sym in FIXED if sym in arities),
         expect_violations,
     )
@@ -325,48 +333,66 @@ for _entry in _catalog():
 # binding generation and the checking loop
 
 
-def _fixed_env(law: Law, space: StateSpace) -> dict[str, Binding]:
-    return {sym: FIXED[sym](space.size) for sym in law.fixed}
-
-
-def _boundary_envs(law: Law, space: StateSpace) -> Iterator[dict[str, Binding]]:
-    pred_options = [PredSet.empty(space.size), PredSet.full(space.size)]
-    rel_options = [empty_relation(space), full_relation(space), identity_relation(space)]
-    option_lists = [pred_options] * len(law.pred_symbols) + [rel_options] * len(law.rel_symbols)
-    symbols = law.pred_symbols + law.rel_symbols
-    for combo in itertools.product(*option_lists):
-        env = _fixed_env(law, space)
-        env.update(zip(symbols, combo))
-        yield env
-
-
 def exhaustive_binding_count(law: Law, size: int) -> int:
     return (2**size) ** len(law.pred_symbols) * (2 ** (size * size)) ** len(law.rel_symbols)
 
 
-def _exhaustive_envs(law: Law, space: StateSpace) -> Iterator[dict[str, Binding]]:
+# A phase numbers its bindings, the boundary and exhaustive ones in
+# `itertools.product` order over the symbols (the last symbol's varies
+# fastest), and gives symbol j's code bits over the lanes [t0, t0 + count)
+# as bit planes.  A predicate set's code has bit i for state i, and a
+# relation's has bit n*i + j for the pair (i, j): its successor rows.
+
+
+def _digit_lanes(t0: int, count: int, stride: int, radix: int, values: set[int]) -> bytes:
+    """b"1" for each lane t < count whose binding t0 + t has digit
+    (t0 + t) // stride % radix in `values`, b"0" for the others."""
+    block = b"".join((b"1" if v in values else b"0") * stride for v in range(radix))
+    start = t0 % len(block)
+    return (block * ((start + count) // len(block) + 1))[start : start + count]
+
+
+def _boundary(law: Law, n: int, j: int, t0: int, count: int) -> list[bytes]:
+    """Each predicate empty or full, each relation empty, full or the
+    identity."""
+    radices = [2] * len(law.pred_symbols) + [3] * len(law.rel_symbols)
+    stride = math.prod(radices[j + 1 :])
+    full = _digit_lanes(t0, count, stride, radices[j], {1})
+    if radices[j] == 2:
+        return [full] * n
+    diagonal = _digit_lanes(t0, count, stride, 3, {1, 2})
+    return [full if c % (n + 1) else diagonal for c in range(n * n)]
+
+
+def _exhaustive(law: Law, n: int, j: int, t0: int, count: int) -> list[bytes]:
+    """Every binding: the symbols' codes, counted up."""
+    bits = [n] * len(law.pred_symbols) + [n * n] * len(law.rel_symbols)
+    stride = 2 ** sum(bits[j + 1 :])
+    return [_digit_lanes(t0, count, stride << c, 2, {1}) for c in range(bits[j])]
+
+
+def _random(law: Law, n: int, seed: int, j: int, t0: int, count: int) -> list[bytes]:
+    """Trial t binds each symbol from `derive_seed(seed, f"{law}/{n}/{t}/{sym}")`,
+    as `random_predset` and `random_relation` do."""
+    sym = (law.pred_symbols + law.rel_symbols)[j]
+    seeds = derive_seeds(seed, (f"{law.name}/{n}/{t}/{sym}" for t in range(t0, t0 + count)))
+    return lane_bits(seeds, n, 1 if j < len(law.pred_symbols) else n)
+
+
+def _pack(planes: list[bytes], n: int, arity: int) -> int:
+    """A symbol's lane-packed mask from its code bit planes."""
+    if arity == 2:  # code bit n*i + j is the pair (i, j), mask position i + j*n
+        planes = [planes[n * i + j] for j in range(n) for i in range(n)]
+    return int(b"".join(planes)[::-1], 2)
+
+
+def _decode(planes: list[bytes], t: int, space: StateSpace, arity: int) -> Binding:
+    """Lane t's binding, from its code bit planes."""
+    code = int(bytes(map(itemgetter(t), planes))[::-1], 2)
     n = space.size
-    pred_range = range(2**n)
-    rel_range = range(2 ** (n * n))
-    ranges = [pred_range] * len(law.pred_symbols) + [rel_range] * len(law.rel_symbols)
-    symbols = law.pred_symbols + law.rel_symbols
-    row_mask = (1 << n) - 1
-    for combo in itertools.product(*ranges):
-        env = _fixed_env(law, space)
-        for sym, code in zip(symbols, combo):
-            if sym in law.pred_symbols:
-                env[sym] = PredSet(n, code)
-            else:
-                env[sym] = Relation(space, tuple((code >> (n * i)) & row_mask for i in range(n)))
-        yield env
-
-
-def _random_env(law: Law, space: StateSpace, seed: int, trial: int) -> dict[str, Binding]:
-    env = _fixed_env(law, space)
-    for sym in law.pred_symbols + law.rel_symbols:
-        draw = random_predset if sym in law.pred_symbols else random_relation
-        env[sym] = draw(space, derive_seed(seed, f"{law.name}/{space.size}/{trial}/{sym}"))
-    return env
+    if arity == 1:
+        return PredSet(n, code)
+    return Relation(space, tuple(code >> n * i & (1 << n) - 1 for i in range(n)))
 
 
 def get_law(name: str) -> Law:
@@ -393,33 +419,46 @@ def check_law(
     how bindings are produced.  `exhaustive_only` enumerates every binding
     and skips the boundary/random phases (sizes must stay tiny)."""
     law = get_law(name)
+    symbols = law.pred_symbols + law.rel_symbols
+    arities = [1] * len(law.pred_symbols) + [2] * len(law.rel_symbols)
     violations: list[LawInstance] = []
     count = 0
-
-    def run(space: StateSpace, phase: str, envs: Iterator[dict[str, Binding]]):
-        nonlocal count
-        for idx, env in enumerate(envs):
-            count += 1
-            if not law.checker(env, space.size):
+    for n in sizes:
+        space = abstract_space(n)
+        total = exhaustive_binding_count(law, n)
+        if exhaustive_only and total > _EXHAUSTIVE_HARD_CAP:
+            raise TooManyBindingsError(
+                f"law '{name}' has {total} bindings at size {n}; too many to enumerate"
+            )
+        boundary = 2 ** len(law.pred_symbols) * 3 ** len(law.rel_symbols)
+        phases = [] if exhaustive_only else [("boundary", boundary, partial(_boundary, law, n))]
+        if exhaustive_only or total <= EXHAUSTIVE_LIMIT:
+            phases.append(("exhaustive", total, partial(_exhaustive, law, n)))
+        if not exhaustive_only:
+            phases.append(("random", trials, partial(_random, law, n, seed)))
+        fixed = {sym: FIXED[sym](n) for sym in law.fixed}
+        lanes = max(1, LANE_BITS // n**law.width)
+        for phase, number, planes_of in phases:
+            count += number
+            for t0 in range(0, number, lanes):
+                L = min(lanes, number - t0)
+                planes = [planes_of(j, t0, L) for j in range(len(symbols))]
+                masks = {sym: _pack(p, n, a) for sym, p, a in zip(symbols, planes, arities)}
+                # a fixed set is the same in every lane: full or empty over n*L bits
+                masks.update((sym, FIXED[sym](n * L).mask) for sym in law.fixed)
+                ok = format(law.lanes(masks, n, L), f"0{L}b")[::-1]
+                hits = [t for t, bit in enumerate(ok) if bit == "0"]
                 # a random trial replays from its seed, any other from its index
-                inst_seed = derive_seed(seed, f"{law.name}/{space.size}/{idx}") if phase == "random" else idx
-                bindings = tuple(sorted(env.items()))
-                violations.append(LawInstance(law.name, space.size, f"{phase}-{idx}", inst_seed, bindings))
-
-    for size in sizes:
-        space = abstract_space(size)
-        total = exhaustive_binding_count(law, size)
-        if exhaustive_only:
-            if total > _EXHAUSTIVE_HARD_CAP:
-                raise ValueError(
-                    f"law '{name}' has {total} bindings at size {size}; too many to enumerate"
-                )
-            run(space, "exhaustive", _exhaustive_envs(law, space))
-            continue
-        run(space, "boundary", _boundary_envs(law, space))
-        if total <= EXHAUSTIVE_LIMIT:
-            run(space, "exhaustive", _exhaustive_envs(law, space))
-        run(space, "random", (_random_env(law, space, seed, trial) for trial in range(trials)))
+                replays = [t0 + t for t in hits]
+                if phase == "random":
+                    labels = (f"{law.name}/{n}/{idx}" for idx in replays)
+                    replays = struct.unpack(f"<{len(hits)}Q", derive_seeds(seed, labels))
+                for t, inst_seed in zip(hits, replays):
+                    env = dict(fixed)
+                    for sym, p, a in zip(symbols, planes, arities):
+                        env[sym] = _decode(p, t, space, a)
+                    bindings = tuple(sorted(env.items()))
+                    violations.append(LawInstance(law.name, n, f"{phase}-{t0 + t}", inst_seed, bindings))
     return LawResult(law.name, count, tuple(violations))
 
 

@@ -151,6 +151,13 @@ class TestLaws:
         assert code == 2
         assert "error:" in err
 
+    def test_oversized_exhaustive_request_is_an_error(self, capsys):
+        code, out, err = run(capsys, "laws", "--size", "9", "--exhaustive")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_full_suite_smoke(self, capsys):
         code, out, _ = run(capsys, "laws", "--trials", "1", "--size", "1")
         assert code == 0

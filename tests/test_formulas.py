@@ -23,6 +23,8 @@ from scalc.formulas import (
     Forall,
     PredApp,
     RelApp,
+    binding_mask,
+    compile_lanes,
     compile_sformula,
     eval_sformula,
     free_vars,
@@ -211,6 +213,36 @@ def test_agreement_on_a_space_without_states():
             for sym, arity in symbol_arities(f).items()
         }
         assert eval_sformula(f, env, sp) == reference_eval(f, env, sp, {}), f
+
+
+def test_lanes_agree_with_one_lane_evaluation():
+    # L environments packed as lanes give, lane by lane, the one-lane masks;
+    # the formulas here may have free variables, so their masks are wide
+    rng = random.Random(0x1A7E)
+    for trial in range(300):
+        n, lanes = rng.randrange(1, 5), rng.randrange(1, 10)
+        sp = abstract_space(n)
+        f = random_formula(rng, tuple(rng.sample("xyz", rng.randrange(0, 4))), rng.randrange(1, 5))
+        draw = {1: random_predset, 2: random_relation}
+        envs = [
+            {sym: draw[arity](sp, rng.getrandbits(64)) for sym, arity in symbol_arities(f).items()}
+            for _ in range(lanes)
+        ]
+        packed = {
+            sym: sum(
+                (binding_mask(env[sym]) >> p & 1) << t + lanes * p
+                for t, env in enumerate(envs)
+                for p in range(n * n)
+            )
+            for sym in envs[0]
+        }
+        fv, run, _ = compile_lanes(f)
+        m = run(packed, n, lanes)
+        assert m >> lanes * n ** len(fv) == 0, f
+        _, one_lane = compile_sformula(f)
+        for t, env in enumerate(envs):
+            lane = sum((m >> t + lanes * v & 1) << v for v in range(n ** len(fv)))
+            assert lane == one_lane(env, n), (trial, f)
 
 
 def test_evaluation_does_not_mutate_env():

@@ -1,20 +1,26 @@
 """The law suite checked here at reduced sizes/trials; the full-strength run
 (default sizes and trial counts) lives in the acceptance tests.  The laws
 about triples and wp are also checked, binding by binding, against set-level
-restatements over `check_total` and `wp`, the oracle of their S-formulas."""
+restatements over `check_total` and `wp`, the oracle of their S-formulas.
+`check_law`, which runs a phase's bindings as the lanes of one evaluation,
+is checked against `reference_check_law`, which runs them one at a time."""
 
+import itertools
 import re
 
 import pytest
 
+from scalc import laws
 from scalc.errors import ArityMismatchError, UnboundStateVariableError, UnknownLawError
 from scalc.formulas import FAnd, Forall, PredApp, RelApp, eval_sformula, free_vars
 from scalc.hoare import check_total, wp
 from scalc.laws import (
+    EXHAUSTIVE_LIMIT,
+    FIXED,
+    LANE_BITS,
     LAWS,
-    _boundary_envs,
-    _exhaustive_envs,
-    _random_env,
+    LawInstance,
+    LawResult,
     _register,
     abstract_space,
     check_law,
@@ -27,7 +33,78 @@ from scalc.laws import (
 )
 from scalc.predicates import PredSet
 from scalc.rng import derive_seed
+from scalc.semantics import Relation, empty_relation, full_relation, identity_relation
 from scalc.state_space import Domain, StateSpace, VarUniverse
+
+# ---------------------------------------------------------------------------
+# the per-binding reference: each binding built as objects and run alone
+
+
+def _fixed_env(law, space):
+    return {sym: FIXED[sym](space.size) for sym in law.fixed}
+
+
+def _boundary_envs(law, space):
+    pred_options = [PredSet.empty(space.size), PredSet.full(space.size)]
+    rel_options = [empty_relation(space), full_relation(space), identity_relation(space)]
+    option_lists = [pred_options] * len(law.pred_symbols) + [rel_options] * len(law.rel_symbols)
+    symbols = law.pred_symbols + law.rel_symbols
+    for combo in itertools.product(*option_lists):
+        env = _fixed_env(law, space)
+        env.update(zip(symbols, combo))
+        yield env
+
+
+def _exhaustive_envs(law, space):
+    n = space.size
+    ranges = [range(2**n)] * len(law.pred_symbols) + [range(2 ** (n * n))] * len(law.rel_symbols)
+    symbols = law.pred_symbols + law.rel_symbols
+    row_mask = (1 << n) - 1
+    for combo in itertools.product(*ranges):
+        env = _fixed_env(law, space)
+        for sym, code in zip(symbols, combo):
+            if sym in law.pred_symbols:
+                env[sym] = PredSet(n, code)
+            else:
+                env[sym] = Relation(space, tuple((code >> (n * i)) & row_mask for i in range(n)))
+        yield env
+
+
+def _random_env(law, space, seed, trial):
+    env = _fixed_env(law, space)
+    for sym in law.pred_symbols + law.rel_symbols:
+        draw = random_predset if sym in law.pred_symbols else random_relation
+        env[sym] = draw(space, derive_seed(seed, f"{law.name}/{space.size}/{trial}/{sym}"))
+    return env
+
+
+def reference_check_law(name, trials=laws.DEFAULT_TRIALS, sizes=laws.DEFAULT_SIZES,
+                        seed=laws.DEFAULT_SEED, exhaustive_only=False):
+    """`check_law` one binding at a time, through `Law.checker`."""
+    law = get_law(name)
+    violations = []
+    count = 0
+
+    def run(space, phase, envs):
+        nonlocal count
+        for idx, env in enumerate(envs):
+            count += 1
+            if not law.checker(env, space.size):
+                inst_seed = derive_seed(seed, f"{law.name}/{space.size}/{idx}") if phase == "random" else idx
+                bindings = tuple(sorted(env.items()))
+                violations.append(LawInstance(law.name, space.size, f"{phase}-{idx}", inst_seed, bindings))
+
+    for size in sizes:
+        space = abstract_space(size)
+        if exhaustive_only:
+            run(space, "exhaustive", _exhaustive_envs(law, space))
+            continue
+        run(space, "boundary", _boundary_envs(law, space))
+        if exhaustive_binding_count(law, size) <= EXHAUSTIVE_LIMIT:
+            run(space, "exhaustive", _exhaustive_envs(law, space))
+        run(space, "random", (_random_env(law, space, seed, trial) for trial in range(trials)))
+    return LawResult(law.name, count, tuple(violations))
+
 
 NEGATIVE_CONTROLS = (
     "negative-control-1",
@@ -143,6 +220,41 @@ class TestNegativeControls:
         for inst in result.violations[:5]:
             env = dict(inst.bindings)
             assert not law.checker(env, inst.size)
+
+
+class TestLanesAgreeWithTheReference:
+    """`check_law` returns what the per-binding loop returns: the trial
+    count, and each violation's label, seed and bindings, in order."""
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_every_law(self, name):
+        for seed in (0, 7, 0x5CA1C0DE):
+            assert check_law(name, trials=12, seed=seed) == reference_check_law(name, trials=12, seed=seed)
+        assert check_law(name, sizes=(1, 2), exhaustive_only=True) == reference_check_law(
+            name, sizes=(1, 2), exhaustive_only=True
+        )
+
+    def test_random_trials_over_three_chunks(self):
+        law = get_law("negative-control-2")
+        trials = 2 * (LANE_BITS // 3**law.width) + 1
+        result = check_law(law.name, trials=trials, sizes=(3,), seed=5)
+        assert result == reference_check_law(law.name, trials=trials, sizes=(3,), seed=5)
+        assert result.violations[-1].label.startswith("random-")
+
+    @pytest.mark.parametrize("name", ["negative-control-1", "thm3.6e-converse", "t1", "t20-variant"])
+    def test_every_phase_over_many_chunks(self, monkeypatch, name):
+        monkeypatch.setattr(laws, "LANE_BITS", 40)  # ten lanes at size 2
+        assert check_law(name, trials=25, sizes=(1, 2, 3), seed=3) == reference_check_law(
+            name, trials=25, sizes=(1, 2, 3), seed=3
+        )
+        assert check_law(name, sizes=(2,), exhaustive_only=True) == reference_check_law(
+            name, sizes=(2,), exhaustive_only=True
+        )
+
+    @pytest.mark.parametrize("name", ["thm3.1c", "thm5.7", "t1", "negative-control-2"])
+    def test_a_large_space(self, name):
+        # one lane's relation mask is 1600 bits, so a chunk holds few lanes
+        assert check_law(name, trials=2, sizes=(40,)) == reference_check_law(name, trials=2, sizes=(40,))
 
 
 class TestDeterminism:
