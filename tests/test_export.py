@@ -20,10 +20,17 @@ from scalc.export import VCDocument, export_vc, select_logic
 from scalc.hoare import verify
 from scalc.predicates import (
     Add,
+    And,
     BoolConst,
     Cmp,
     Const,
+    Iff,
+    Implies,
     Mul,
+    Neg,
+    Not,
+    Or,
+    Sub,
     Var,
 )
 from scalc.semantics import denote
@@ -430,17 +437,28 @@ class TestAgreementWithFiniteVerifier:
 
     VARS = ("a", "b")
 
-    def _arith(self, rng, for_assign):
+    def _arith(self, rng, for_assign, depth=2):
+        # an assigned value stays inside the domain, where the unbounded
+        # and the finite semantics agree; a compared one may leave it
         r = rng.random()
-        if r < 0.45:
+        if r < 0.35 or depth == 0:
             return Const(rng.randrange(4))
-        if r < 0.9 or for_assign:
+        if r < 0.7 or for_assign:
             return Var(rng.choice(self.VARS))
-        return Add(Var(rng.choice(self.VARS)), Const(rng.randrange(3)))
+        if r < 0.78:
+            return Neg(self._arith(rng, False, depth - 1))
+        ctor = rng.choice((Add, Sub, Mul))
+        return ctor(self._arith(rng, False, depth - 1), self._arith(rng, False, depth - 1))
 
-    def _cond(self, rng):
-        op = rng.choice(("==", "!=", "<", "<=", ">", ">="))
-        return Cmp(op, self._arith(rng, False), self._arith(rng, False))
+    def _cond(self, rng, depth=2):
+        r = rng.random()
+        if r < 0.5 or depth == 0:
+            op = rng.choice(("==", "!=", "<", "<=", ">", ">="))
+            return Cmp(op, self._arith(rng, False), self._arith(rng, False))
+        if r < 0.6:
+            return Not(self._cond(rng, depth - 1))
+        ctor = rng.choice((And, Or, Implies, Iff))
+        return ctor(self._cond(rng, depth - 1), self._cond(rng, depth - 1))
 
     def _stmt(self, rng, depth):
         if depth == 0 or rng.random() < 0.3:

@@ -1,9 +1,11 @@
 """The CLI's stdout bytes and exit codes on every `specs/` file and on the
-law suite, pinned.
+law suite, and the pretty-printer's bytes on every spec, pinned.
 
 `tests/golden/<spec>.<command>.out` holds the stdout of one command,
-`tests/golden/laws.<case>.out` that of one `scalc laws` run, and
-`tests/golden/exit_codes.json` their exit codes.  A change that alters any of
+`tests/golden/laws.<case>.out` that of one `scalc laws` run,
+`tests/golden/exit_codes.json` their exit codes, and
+`tests/golden/<spec>.pretty.out` the spec's program, precondition and
+postcondition as `pretty_print` and `pred_to_str` render them.  A change that alters any of
 them on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -19,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from scalc.cli import main
+from scalc.specfile import load_task
+from scalc.syntax import pred_to_str, pretty_print
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -62,6 +66,16 @@ def golden_name(spec: Path, command: str) -> str:
     return f"{spec.stem}.{command}.out"
 
 
+def printed(spec: Path) -> bytes:
+    task = load_task(str(spec))
+    sections = [
+        "[program]\n" + pretty_print(task.program),
+        f"[pre]\n{pred_to_str(task.pre)}\n",
+        f"[post]\n{pred_to_str(task.post)}\n",
+    ]
+    return "\n".join(sections).encode()
+
+
 @pytest.mark.parametrize(
     "spec,command", CASES, ids=[golden_name(spec, command) for spec, command in CASES]
 )
@@ -79,6 +93,11 @@ def test_laws_output_matches_golden(name):
     assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
 
 
+@pytest.mark.parametrize("spec", SPECS, ids=[spec.stem for spec in SPECS])
+def test_pretty_print_matches_golden(spec):
+    assert printed(spec) == (GOLDEN / f"{spec.stem}.pretty.out").read_bytes()
+
+
 def regenerate():
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
@@ -86,6 +105,8 @@ def regenerate():
         name = golden_name(spec, command)
         codes[name], out = run_cli(spec, command)
         (GOLDEN / name).write_bytes(out)
+    for spec in SPECS:
+        (GOLDEN / f"{spec.stem}.pretty.out").write_bytes(printed(spec))
     for name, argv in LAW_CASES.items():
         codes[name], out = run_argv(argv)
         (GOLDEN / name).write_bytes(out)
