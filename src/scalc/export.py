@@ -24,14 +24,8 @@ import hashlib
 from dataclasses import dataclass
 
 from .errors import UnknownVariableError, UnsupportedForExportError
-from .predicates import Add, ArithExpr, BoolConst, Cmp, Const
-from .predicates import And as PAnd
-from .predicates import Iff as PIff
-from .predicates import Implies as PImplies
-from .predicates import Mul, Neg
-from .predicates import Not as PNot
-from .predicates import Or as POr
-from .predicates import PredExpr, Sub, Var, subexpressions
+from .predicates import BY_NODE, And, BoolConst, Const, Expr, Implies, Mul, Neg, Not, PredExpr, Var
+from .predicates import operands, operator_of, subexpressions
 from .syntax import (
     Assign,
     Decl,
@@ -44,15 +38,6 @@ from .syntax import (
     pretty_print,
     statements,
 )
-
-_CMP_SMT = {
-    "==": "=",
-    "<": "<",
-    "<=": "<=",
-    ">": ">",
-    ">=": ">=",
-}
-
 
 @dataclass(frozen=True)
 class VCDocument:
@@ -76,8 +61,14 @@ class VCDocument:
         return self.text()
 
 
+def _smt(node, *terms: str) -> str:
+    """The SMT-LIB term of the operator that builds `node` (a comparison:
+    that has `node` as its token) over `terms`."""
+    return BY_NODE[node].smt.format(*terms)
+
+
 def _smt_int(n: int) -> str:
-    return str(n) if n >= 0 else f"(- {-n})"
+    return str(n) if n >= 0 else _smt(Neg, str(-n))
 
 
 class _Encoder:
@@ -103,7 +94,7 @@ class _Encoder:
 
     def _constrain_type(self, name: str, sym: str):
         if self.types[name] == "bool":
-            self.conjuncts.append(f"(and (<= 0 {sym}) (<= {sym} 1))")
+            self.conjuncts.append(_smt(And, _smt("<=", "0", sym), _smt("<=", sym, "1")))
 
     def _lookup(self, name: str) -> str:
         try:
@@ -111,40 +102,17 @@ class _Encoder:
         except KeyError:
             raise UnknownVariableError(name) from None
 
-    def arith(self, e: ArithExpr) -> str:
+    def expr(self, e: Expr) -> str:
         if isinstance(e, Const):
             return _smt_int(e.value)
         if isinstance(e, Var):
             return self._lookup(e.name)
-        if isinstance(e, Add):
-            return f"(+ {self.arith(e.left)} {self.arith(e.right)})"
-        if isinstance(e, Sub):
-            return f"(- {self.arith(e.left)} {self.arith(e.right)})"
-        if isinstance(e, Mul):
-            return f"(* {self.arith(e.left)} {self.arith(e.right)})"
-        if isinstance(e, Neg):
-            return f"(- {self.arith(e.operand)})"
-        raise UnsupportedForExportError(f"cannot encode arithmetic node {type(e).__name__}")
-
-    def pred(self, p: PredExpr) -> str:
-        if isinstance(p, BoolConst):
-            return "true" if p.value else "false"
-        if isinstance(p, Cmp):
-            left, right = self.arith(p.left), self.arith(p.right)
-            if p.op == "!=":
-                return f"(not (= {left} {right}))"
-            return f"({_CMP_SMT[p.op]} {left} {right})"
-        if isinstance(p, PNot):
-            return f"(not {self.pred(p.operand)})"
-        if isinstance(p, PAnd):
-            return f"(and {self.pred(p.left)} {self.pred(p.right)})"
-        if isinstance(p, POr):
-            return f"(or {self.pred(p.left)} {self.pred(p.right)})"
-        if isinstance(p, PImplies):
-            return f"(=> {self.pred(p.left)} {self.pred(p.right)})"
-        if isinstance(p, PIff):
-            return f"(= {self.pred(p.left)} {self.pred(p.right)})"
-        raise UnsupportedForExportError(f"cannot encode predicate node {type(p).__name__}")
+        if isinstance(e, BoolConst):
+            return "true" if e.value else "false"
+        op = operator_of(e)
+        if op is None:
+            raise UnsupportedForExportError(f"cannot encode expression node {type(e).__name__}")
+        return op.smt.format(*map(self.expr, operands(e)))
 
     def stmt(self, s: Stmt, path: str):
         if isinstance(s, Nop):
@@ -156,9 +124,9 @@ class _Encoder:
             self._constrain_type(s.var, sym)
             return
         if isinstance(s, Assign):
-            rhs = self.arith(s.expr)
+            rhs = self.expr(s.expr)
             sym = self._fresh(s.var)
-            self.conjuncts.append(f"(= {sym} {rhs})")
+            self.conjuncts.append(_smt("==", sym, rhs))
             self.env[s.var] = sym
             return
         if isinstance(s, Seq):
@@ -177,12 +145,12 @@ class _Encoder:
         raise UnsupportedForExportError(f"cannot encode statement {type(s).__name__}")
 
     def _branch(self, cond: PredExpr, then_branch: Stmt, else_branch: Stmt, path: str):
-        guard = self.pred(cond)
+        guard = self.expr(cond)
         before = dict(self.env)
         self.stmt(then_branch, _conj(path, guard))
         then_env = self.env
         self.env = dict(before)
-        self.stmt(else_branch, _conj(path, f"(not {guard})"))
+        self.stmt(else_branch, _conj(path, _smt(Not, guard)))
         else_env = self.env
         merged = dict(else_env)
         for name, then_sym in then_env.items():
@@ -195,7 +163,7 @@ class _Encoder:
                 merged[name] = then_sym
                 continue
             sym = self._fresh(name)
-            self.conjuncts.append(f"(= {sym} (ite {guard} {then_sym} {else_sym}))")
+            self.conjuncts.append(_smt("==", sym, f"(ite {guard} {then_sym} {else_sym})"))
             merged[name] = sym
         self.env = merged
 
@@ -206,17 +174,17 @@ class _Encoder:
             )
         for _ in range(self.unroll):
             self._branch(s.cond, s.body, Nop(), path)
-        guard = self.pred(s.cond)
+        guard = self.expr(s.cond)
         if path == "true":
-            self.conjuncts.append(f"(not {guard})")
+            self.conjuncts.append(_smt(Not, guard))
         else:
-            self.conjuncts.append(f"(=> {path} (not {guard}))")
+            self.conjuncts.append(_smt(Implies, path, _smt(Not, guard)))
 
 
 def _conj(a: str, b: str) -> str:
     if a == "true":
         return b
-    return f"(and {a} {b})"
+    return _smt(And, a, b)
 
 
 def select_logic(program: Stmt, pre: PredExpr, post: PredExpr) -> str:
@@ -266,11 +234,11 @@ def export_vc(
             known.add(name)
 
     enc = _Encoder(tuple(all_vars), unroll, allow_partial_unroll)
-    pre_smt = enc.pred(pre)
+    pre_smt = enc.expr(pre)
     enc.conjuncts.append(pre_smt)
     enc.stmt(program, "true")
-    post_smt = enc.pred(post)
-    enc.conjuncts.append(f"(not {post_smt})")
+    post_smt = enc.expr(post)
+    enc.conjuncts.append(_smt(Not, post_smt))
 
     conjuncts = enc.conjuncts
     assertion = conjuncts[0] if len(conjuncts) == 1 else "(and " + " ".join(conjuncts) + ")"

@@ -103,9 +103,6 @@ class BoolConst(PredExpr):
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
 
-CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-
-
 @dataclass(frozen=True)
 class Cmp(PredExpr):
     op: str
@@ -152,19 +149,70 @@ class Iff(PredExpr):
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
 
+Expr = Union[ArithExpr, PredExpr]
+
+
+# ---------------------------------------------------------------------------
+# the operator table, read by the parser, the printer, the SMT encoder and
+# the compilers
+
+
+@dataclass(frozen=True)
+class Operator:
+    token: str
+    node: type  # the AST class it builds; the comparisons share Cmp
+    level: int  # precedence: a higher level binds tighter
+    grouping: str  # "left", "right", "none" (a comparison) or "prefix"
+    smt: str  # the SMT-LIB term, one "{}" per operand
+    apply: Optional[Callable] = None  # the integer operation, where one applies
+
+
+OPERATORS = (
+    Operator("<->", Iff, 1, "left", "(= {} {})"),
+    Operator("->", Implies, 2, "right", "(=> {} {})"),
+    Operator("||", Or, 3, "left", "(or {} {})"),
+    Operator("&&", And, 4, "left", "(and {} {})"),
+    Operator("!", Not, 5, "prefix", "(not {})"),
+    Operator("==", Cmp, 6, "none", "(= {} {})", operator.eq),
+    Operator("!=", Cmp, 6, "none", "(not (= {} {}))", operator.ne),
+    Operator("<", Cmp, 6, "none", "(< {} {})", operator.lt),
+    Operator("<=", Cmp, 6, "none", "(<= {} {})", operator.le),
+    Operator(">", Cmp, 6, "none", "(> {} {})", operator.gt),
+    Operator(">=", Cmp, 6, "none", "(>= {} {})", operator.ge),
+    Operator("+", Add, 7, "left", "(+ {} {})", operator.add),
+    Operator("-", Sub, 7, "left", "(- {} {})", operator.sub),
+    Operator("*", Mul, 8, "left", "(* {} {})", operator.mul),
+    Operator("-", Neg, 9, "prefix", "(- {})"),
+)
+
+CMP_OPS = tuple(op.token for op in OPERATORS if op.node is Cmp)
+# operators below the comparisons combine predicates, the rest arithmetic
+CMP_LEVEL = next(op.level for op in OPERATORS if op.node is Cmp)
+INFIX = {op.token: op for op in OPERATORS if op.grouping != "prefix"}
+PREFIX = {op.token: op for op in OPERATORS if op.grouping == "prefix"}
+# each entry by the class it builds, a comparison's by its token
+BY_NODE = {op.token if op.node is Cmp else op.node: op for op in OPERATORS}
+
+
+def operator_of(e: Expr) -> Optional[Operator]:
+    """The entry that builds e, or None for a constant or a variable."""
+    return BY_NODE.get(e.op if isinstance(e, Cmp) else type(e))
+
+
+def operands(e: Expr) -> list[Expr]:
+    """The expressions e applies its operator to, left first."""
+    return [c for c in vars(e).values() if isinstance(c, (ArithExpr, PredExpr))]
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def subexpressions(e) -> Iterator[Union[ArithExpr, PredExpr]]:
+def subexpressions(e: Expr) -> Iterator[Expr]:
     """e and every arithmetic or predicate node below it."""
     yield e
-    for child in vars(e).values():
-        if isinstance(child, (ArithExpr, PredExpr)):
-            yield from subexpressions(child)
-
-
-_ARITH_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+    for child in operands(e):
+        yield from subexpressions(child)
 
 
 def compile_arith(e: ArithExpr, space: StateSpace) -> Callable[[int], ArithValue]:
@@ -187,22 +235,19 @@ def compile_arith(e: ArithExpr, space: StateSpace) -> Callable[[int], ArithValue
         return lambda i: values[i // stride % size]
     if isinstance(e, Neg):
         return compile_arith(Sub(Const(0), e.operand), space)
-    if type(e) in _ARITH_OPS:
-        op = _ARITH_OPS[type(e)]
-        left, right = compile_arith(e.left, space), compile_arith(e.right, space)
+    if not isinstance(e, ArithExpr) or operator_of(e) is None:
+        raise TypeError(f"not an arithmetic expression: {e!r}")
+    op = operator_of(e).apply
+    left, right = compile_arith(e.left, space), compile_arith(e.right, space)
 
-        def binary(i: int) -> ArithValue:
-            a, b = left(i), right(i)
-            if a is UNDEFINED or b is UNDEFINED:
-                return UNDEFINED
-            v = op(a, b)
-            return v if INT64_MIN <= v <= INT64_MAX else UNDEFINED
+    def binary(i: int) -> ArithValue:
+        a, b = left(i), right(i)
+        if a is UNDEFINED or b is UNDEFINED:
+            return UNDEFINED
+        v = op(a, b)
+        return v if INT64_MIN <= v <= INT64_MAX else UNDEFINED
 
-        return binary
-    raise TypeError(f"not an arithmetic expression: {e!r}")
-
-
-_CMP_OPS = dict(zip(CMP_OPS, (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)))
+    return binary
 
 
 def compile_pred(p: PredExpr, space: StateSpace) -> Callable[[int], bool]:
@@ -213,7 +258,7 @@ def compile_pred(p: PredExpr, space: StateSpace) -> Callable[[int], bool]:
         value = p.value
         return lambda i: value
     if isinstance(p, Cmp):
-        op = _CMP_OPS[p.op]
+        op = operator_of(p).apply
         left, right = compile_arith(p.left, space), compile_arith(p.right, space)
 
         def cmp(i: int) -> bool:

@@ -15,11 +15,11 @@ An initialized declaration is sugar for a declaration followed by a plain
 assignment, and both parts land as separate elements of the enclosing
 sequence.
 
-Predicates, loosest binding first: "<->" (left), "->" (right), "||", "&&",
-"!", comparisons.  Arithmetic: "+"/"-" over "*" over unary minus.  "//"
-starts a comment that runs to end of line.  Compound assignments and the
-increment forms are desugared during parsing, so the AST only has plain
-assignment.  Blocks fold into right-nested sequencing and leave no node of
+Expressions are read by precedence climbing over `predicates.OPERATORS`,
+which gives each operator's token, level and grouping; `expr_to_str` prints
+them back from the same table.  "//" starts a comment that runs to end of
+line.  Compound assignments and the increment forms are desugared during
+parsing, so the AST only has plain assignment.  Blocks fold into right-nested sequencing and leave no node of
 their own.  "else" attaches to the nearest "if".  A one-armed `if (p) s` is
 `IfThenElse(p, s, Nop())` whose else arm is a span-less `Nop`; an explicit
 `else ;` or `else {}` gives a `Nop` with a span, so each prints back as
@@ -39,21 +39,19 @@ from typing import Iterator, Optional
 
 from .errors import ScalcSyntaxError, SourceSpan, UndeclaredVariableError
 from .predicates import (
-    Add,
-    And,
+    CMP_LEVEL,
+    INFIX,
+    PREFIX,
     ArithExpr,
     BoolConst,
     Cmp,
     Const,
-    Iff,
-    Implies,
-    Mul,
+    Expr,
     Neg,
     Not,
-    Or,
     PredExpr,
-    Sub,
     Var,
+    operator_of,
 )
 
 # ---------------------------------------------------------------------------
@@ -306,18 +304,15 @@ class _Parser:
         name = self.expect_ident()
         self.check_declared(name.text, name.span)
         target = Var(name.text, span=name.span)
+        tok = self.peek()
         if self.accept("="):
             expr = self.arith()
-        elif self.accept("+="):
-            expr = Add(target, self.arith())
-        elif self.accept("-="):
-            expr = Sub(target, self.arith())
-        elif self.accept("*="):
-            expr = Mul(target, self.arith())
-        elif self.accept("++"):
-            expr = Add(target, Const(1))
-        elif self.accept("--"):
-            expr = Sub(target, Const(1))
+        elif tok.text in ("+=", "-=", "*="):
+            self.advance()
+            expr = INFIX[tok.text[0]].node(target, self.arith())
+        elif tok.text in ("++", "--"):
+            self.advance()
+            expr = INFIX[tok.text[0]].node(target, Const(1))
         else:
             return self.fail("expected an assignment operator")
         end = self.expect(";")
@@ -357,97 +352,56 @@ class _Parser:
     def _join(a: SourceSpan, b: SourceSpan) -> SourceSpan:
         return SourceSpan(a.start, b.end, a.line, a.col)
 
-    # --- predicates (loosest first: <->, ->, ||, &&, !, atoms)
+    # --- expressions: precedence climbing over predicates.OPERATORS
 
     def pred(self) -> PredExpr:
-        left = self.pred_implies()
-        while self.accept("<->"):
-            left = Iff(left, self.pred_implies())
-        return left
-
-    def pred_implies(self) -> PredExpr:
-        left = self.pred_or()
-        if self.accept("->"):
-            # right associative
-            return Implies(left, self.pred_implies())
-        return left
-
-    def pred_or(self) -> PredExpr:
-        left = self.pred_and()
-        while self.accept("||"):
-            left = Or(left, self.pred_and())
-        return left
-
-    def pred_and(self) -> PredExpr:
-        left = self.pred_not()
-        while self.accept("&&"):
-            left = And(left, self.pred_not())
-        return left
-
-    def pred_not(self) -> PredExpr:
-        if self.at("!"):
-            tok = self.advance()
-            return Not(self.pred_not(), span=tok.span)
-        return self.pred_atom()
-
-    def pred_atom(self) -> PredExpr:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text in ("true", "false"):
-            self.advance()
-            return BoolConst(tok.text == "true", span=tok.span)
-        if self.at("("):
-            # Could open a parenthesized predicate or the left operand of a
-            # comparison; try the comparison reading first and backtrack.
-            mark = self.pos
-            try:
-                return self.comparison()
-            except ScalcSyntaxError:
-                self.pos = mark
-            self.expect("(")
-            inner = self.pred()
-            self.expect(")")
-            return inner
-        return self.comparison()
-
-    def comparison(self) -> PredExpr:
-        left = self.arith()
-        tok = self.peek()
-        if tok.text in ("==", "!=", "<", "<=", ">", ">="):
-            self.advance()
-            right = self.arith()
-            return Cmp(tok.text, left, right, span=tok.span)
-        return self.fail("expected a comparison operator")
-
-    # --- arithmetic
+        return self.expr(0)
 
     def arith(self) -> ArithExpr:
-        left = self.term()
-        while True:
-            if self.accept("+"):
-                left = Add(left, self.term())
-            elif self.accept("-"):
-                left = Sub(left, self.term())
-            else:
-                return left
+        return self.expr(CMP_LEVEL + 1)
 
-    def term(self) -> ArithExpr:
-        left = self.unary()
-        while self.accept("*"):
-            left = Mul(left, self.unary())
+    def expr(self, min_level: int, first=None) -> Expr:
+        """The expression of operators at `min_level` or tighter starting
+        here (or at `first`, an operand already read).  Operators below
+        CMP_LEVEL combine predicates and the others arithmetic, so a
+        `min_level` up to CMP_LEVEL asks for a predicate."""
+        left = first or self.operand(min_level)
+        while True:
+            tok = self.peek()
+            op = INFIX.get(tok.text)
+            if op is None or op.level < min_level or (op.level < CMP_LEVEL) != isinstance(left, PredExpr):
+                break
+            self.advance()
+            right_level = op.level if op.grouping == "right" else op.level + 1
+            right = self.expr(right_level)
+            left = Cmp(tok.text, left, right, span=tok.span) if op.node is Cmp else op.node(left, right)
+        if min_level <= CMP_LEVEL and isinstance(left, ArithExpr):
+            self.fail("expected a comparison operator")
         return left
 
-    def unary(self) -> ArithExpr:
-        if self.at("-"):
-            tok = self.advance()
-            operand = self.unary()
-            if isinstance(operand, Const):
-                # Fold so a negative literal prints back as itself.
-                return Const(-operand.value, span=tok.span)
-            return Neg(operand, span=tok.span)
-        return self.atom()
-
-    def atom(self) -> ArithExpr:
+    def operand(self, min_level: int) -> Expr:
         tok = self.peek()
+        op = PREFIX.get(tok.text)
+        if op is not None and op.level >= min_level:
+            self.advance()
+            inner = self.expr(op.level)
+            if op.node is Neg and isinstance(inner, Const):
+                # Fold so a negative literal prints back as itself.
+                return Const(-inner.value, span=tok.span)
+            return op.node(inner, span=tok.span)
+        if min_level <= CMP_LEVEL:
+            if tok.kind == "keyword" and tok.text in ("true", "false"):
+                self.advance()
+                return BoolConst(tok.text == "true", span=tok.span)
+            if tok.text == "(":
+                # Could open a parenthesized predicate or the left operand of a
+                # comparison; try the comparison reading first and backtrack.
+                mark = self.pos
+                try:
+                    return self.expr(CMP_LEVEL, self.operand(CMP_LEVEL + 1))
+                except ScalcSyntaxError:
+                    self.pos = mark
+                return self.parenthesized(0)
         if tok.kind == "int":
             self.advance()
             return Const(int(tok.text), span=tok.span)
@@ -455,18 +409,21 @@ class _Parser:
             self.advance()
             self.check_declared(tok.text, tok.span)
             return Var(tok.text, span=tok.span)
-        if self.accept("("):
-            inner = self.arith()
-            self.expect(")")
-            return inner
+        if tok.text == "(":
+            return self.parenthesized(CMP_LEVEL + 1)
         return self.fail("expected an arithmetic operand")
+
+    def parenthesized(self, min_level: int) -> Expr:
+        """`(`, an expression of operators at `min_level` or tighter, `)`."""
+        self.expect("(")
+        inner = self.expr(min_level)
+        self.expect(")")
+        return inner
 
 
 def parse_program(source: str, predeclared=()) -> Stmt:
     """Parse a whole program; `predeclared` names need no in-program Decl."""
-    parser = _Parser(tokenize(source), set(predeclared))
-    out = parser.program()
-    return out
+    return _Parser(tokenize(source), set(predeclared)).program()
 
 
 def parse_pred(source: str, declared=()) -> PredExpr:
@@ -489,56 +446,36 @@ def parse_arith(source: str, declared=()) -> ArithExpr:
 # ---------------------------------------------------------------------------
 # printing
 
-_ARITH_PREC = {Add: 1, Sub: 1, Mul: 2, Neg: 3, Const: 4, Var: 4}
-
-
-def arith_to_str(e: ArithExpr) -> str:
-    def wrap(child: ArithExpr, min_prec: int) -> str:
-        s = arith_to_str(child)
-        return f"({s})" if _ARITH_PREC[type(child)] < min_prec else s
-
+def expr_to_str(e: Expr) -> str:
+    """Source text for an expression, parenthesized where the operator
+    table's levels and groupings need it."""
     if isinstance(e, Const):
         return str(e.value)
     if isinstance(e, Var):
         return e.name
-    if isinstance(e, Neg):
-        return "-" + wrap(e.operand, 4)
-    if isinstance(e, Add):
-        return f"{wrap(e.left, 1)} + {wrap(e.right, 2)}"
-    if isinstance(e, Sub):
-        return f"{wrap(e.left, 1)} - {wrap(e.right, 2)}"
-    if isinstance(e, Mul):
-        return f"{wrap(e.left, 2)} * {wrap(e.right, 3)}"
-    raise TypeError(f"not an arithmetic expression: {e!r}")
+    if isinstance(e, BoolConst):
+        return "true" if e.value else "false"
+    op = operator_of(e)
+    if op is None:
+        raise TypeError(f"not an expression: {e!r}")
+    if op.grouping == "prefix":
+        # `!!p` reads back as written but `--x` would not, and a comparison
+        # under `!` is parenthesized
+        inner = expr_to_str(e.operand)
+        bare = isinstance(e.operand, (Const, Var, BoolConst, Not))
+        return op.token + (inner if bare else f"({inner})")
+    # the operand on the side the operator groups to may share its level
+    if op.grouping == "right":
+        left_min, right_min = op.level + 1, op.level
+    else:
+        left_min, right_min = op.level, op.level + 1
+    return f"{_operand_str(e.left, left_min)} {op.token} {_operand_str(e.right, right_min)}"
 
 
-_PRED_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Cmp: 6, BoolConst: 6}
-
-
-def pred_to_str(p: PredExpr) -> str:
-    def wrap(child: PredExpr, min_prec: int) -> str:
-        s = pred_to_str(child)
-        return f"({s})" if _PRED_PREC[type(child)] < min_prec else s
-
-    if isinstance(p, BoolConst):
-        return "true" if p.value else "false"
-    if isinstance(p, Cmp):
-        return f"{arith_to_str(p.left)} {p.op} {arith_to_str(p.right)}"
-    if isinstance(p, Not):
-        inner = p.operand
-        if isinstance(inner, (BoolConst, Not)):
-            return "!" + pred_to_str(inner)
-        return f"!({pred_to_str(inner)})"
-    if isinstance(p, And):
-        return f"{wrap(p.left, 4)} && {wrap(p.right, 5)}"
-    if isinstance(p, Or):
-        return f"{wrap(p.left, 3)} || {wrap(p.right, 4)}"
-    if isinstance(p, Implies):
-        # right associative: parenthesize a nested implication on the left
-        return f"{wrap(p.left, 3)} -> {wrap(p.right, 2)}"
-    if isinstance(p, Iff):
-        return f"{wrap(p.left, 1)} <-> {wrap(p.right, 2)}"
-    raise TypeError(f"not a predicate expression: {p!r}")
+def _operand_str(e: Expr, min_level: int) -> str:
+    op = operator_of(e)
+    s = expr_to_str(e)
+    return f"({s})" if op is not None and op.level < min_level else s
 
 
 def _is_simple(s: Stmt) -> bool:
@@ -558,7 +495,7 @@ def _stmt_lines(s: Stmt, indent: int, lines: list[str]):
     elif isinstance(s, Decl):
         lines.append(f"{pad}{s.type_name} {s.var};")
     elif isinstance(s, Assign):
-        lines.append(f"{pad}{s.var} = {arith_to_str(s.expr)};")
+        lines.append(f"{pad}{s.var} = {expr_to_str(s.expr)};")
     elif isinstance(s, Seq):
         while isinstance(s, Seq):  # a loop, so that a long program fits the stack
             _stmt_lines(s.first, indent, lines)
@@ -566,9 +503,9 @@ def _stmt_lines(s: Stmt, indent: int, lines: list[str]):
         _stmt_lines(s, indent, lines)
     elif isinstance(s, (IfThenElse, While)):
         if isinstance(s, While):
-            head, body = f"while ({pred_to_str(s.cond)})", s.body
+            head, body = f"while ({expr_to_str(s.cond)})", s.body
         else:
-            head, body = f"if ({pred_to_str(s.cond)})", s.then_branch
+            head, body = f"if ({expr_to_str(s.cond)})", s.then_branch
         if _is_simple(body):
             sub: list[str] = []
             _stmt_lines(body, 0, sub)
@@ -579,11 +516,7 @@ def _stmt_lines(s: Stmt, indent: int, lines: list[str]):
             lines.append(pad + "}")
         if isinstance(s, IfThenElse) and not _is_one_armed(s):
             els = s.else_branch
-            if _is_simple(els):
-                sub = []
-                _stmt_lines(els, 0, sub)
-                lines.append(f"{pad}else {sub[0]}")
-            elif isinstance(els, IfThenElse):
+            if _is_simple(els) or isinstance(els, IfThenElse):
                 sub = []
                 _stmt_lines(els, 0, sub)
                 lines.append(f"{pad}else {sub[0]}")

@@ -5,7 +5,7 @@ law suite, and the pretty-printer's bytes on every spec, pinned.
 `tests/golden/laws.<case>.out` that of one `scalc laws` run,
 `tests/golden/exit_codes.json` their exit codes, and
 `tests/golden/<spec>.pretty.out` the spec's program, precondition and
-postcondition as `pretty_print` and `pred_to_str` render them.  A change that alters any of
+postcondition as `pretty_print` and `expr_to_str` render them.  A change that alters any of
 them on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -22,7 +22,7 @@ import pytest
 
 from scalc.cli import main
 from scalc.specfile import load_task
-from scalc.syntax import pred_to_str, pretty_print
+from scalc.syntax import expr_to_str, pretty_print
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -70,8 +70,8 @@ def printed(spec: Path) -> bytes:
     task = load_task(str(spec))
     sections = [
         "[program]\n" + pretty_print(task.program),
-        f"[pre]\n{pred_to_str(task.pre)}\n",
-        f"[post]\n{pred_to_str(task.post)}\n",
+        f"[pre]\n{expr_to_str(task.pre)}\n",
+        f"[post]\n{expr_to_str(task.post)}\n",
     ]
     return "\n".join(sections).encode()
 

@@ -29,7 +29,7 @@ from scalc.syntax import (
     parse_arith,
     parse_pred,
     parse_program,
-    pred_to_str,
+    expr_to_str,
     pretty_print,
     seq_of,
     tokenize,
@@ -347,4 +347,4 @@ def test_round_trip_random_predicates():
     rng = random.Random(777)
     for _ in range(300):
         p = random_cond(rng, ("a", "b"), 4)
-        assert parse_pred(pred_to_str(p), declared=("a", "b")) == p
+        assert parse_pred(expr_to_str(p), declared=("a", "b")) == p
