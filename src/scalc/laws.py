@@ -34,7 +34,6 @@ from operator import itemgetter
 from .errors import TooManyBindingsError, UnboundStateVariableError, UnknownLawError
 from .formulas import (
     Binding,
-    Evaluator,
     Exists,
     FAnd,
     FIff,
@@ -47,7 +46,6 @@ from .formulas import (
     RelApp,
     SFormula,
     compile_lanes,
-    compile_sformula,
     ht_total,
     symbol_arities,
     wp_formula,
@@ -97,7 +95,6 @@ class Law:
     formula: SFormula
     pred_symbols: tuple[str, ...]
     rel_symbols: tuple[str, ...]
-    checker: Evaluator
     lanes: LaneEvaluator
     width: int  # variables of the widest mask the evaluation makes
     fixed: tuple[str, ...] = ()
@@ -135,8 +132,7 @@ def _register(name: str, title: str, formula: SFormula, expect_violations: bool 
     trial's space (the `FIXED` ones as that table says), so the formula is
     checked and compiled here once, and every trial runs the compiled
     masks without `eval_sformula`'s checks."""
-    fv, checker = compile_sformula(formula)
-    _, lanes, width = compile_lanes(formula)
+    fv, lanes, width = compile_lanes(formula)
     if fv:
         raise UnboundStateVariableError(fv[0])
     arities = symbol_arities(formula)
@@ -146,7 +142,6 @@ def _register(name: str, title: str, formula: SFormula, expect_violations: bool 
         formula,
         tuple(sorted(sym for sym, a in arities.items() if a == 1 and sym not in FIXED)),
         tuple(sorted(sym for sym, a in arities.items() if a == 2)),
-        checker,
         lanes,
         width,
         tuple(sym for sym in FIXED if sym in arities),

@@ -12,7 +12,7 @@ import pytest
 
 from scalc import laws
 from scalc.errors import ArityMismatchError, UnboundStateVariableError, UnknownLawError
-from scalc.formulas import FAnd, Forall, PredApp, RelApp, eval_sformula, free_vars
+from scalc.formulas import FAnd, Forall, PredApp, RelApp, compile_sformula, eval_sformula, free_vars
 from scalc.hoare import check_total, wp
 from scalc.laws import (
     EXHAUSTIVE_LIMIT,
@@ -80,8 +80,9 @@ def _random_env(law, space, seed, trial):
 
 def reference_check_law(name, trials=laws.DEFAULT_TRIALS, sizes=laws.DEFAULT_SIZES,
                         seed=laws.DEFAULT_SEED, exhaustive_only=False):
-    """`check_law` one binding at a time, through `Law.checker`."""
+    """`check_law` one binding at a time, through the one-lane evaluator."""
     law = get_law(name)
+    check = compile_sformula(law.formula)[1]
     violations = []
     count = 0
 
@@ -89,7 +90,7 @@ def reference_check_law(name, trials=laws.DEFAULT_TRIALS, sizes=laws.DEFAULT_SIZ
         nonlocal count
         for idx, env in enumerate(envs):
             count += 1
-            if not law.checker(env, space.size):
+            if not check(env, space.size):
                 inst_seed = derive_seed(seed, f"{law.name}/{space.size}/{idx}") if phase == "random" else idx
                 bindings = tuple(sorted(env.items()))
                 violations.append(LawInstance(law.name, space.size, f"{phase}-{idx}", inst_seed, bindings))
@@ -135,8 +136,9 @@ class TestRegistry:
         sp = abstract_space(2)
         for law in LAWS.values():
             assert free_vars(law.formula) == frozenset()
+            check = compile_sformula(law.formula)[1]
             for env in _boundary_envs(law, sp):
-                assert bool(law.checker(env, sp.size)) == eval_sformula(law.formula, env, sp)
+                assert bool(check(env, sp.size)) == eval_sformula(law.formula, env, sp)
 
     def test_every_law_has_a_title(self):
         for law in LAWS.values():
@@ -216,10 +218,10 @@ class TestNegativeControls:
 
     def test_violation_instances_replay(self):
         result = check_law("negative-control-1", trials=0, sizes=(1, 2))
-        law = get_law("negative-control-1")
+        check = compile_sformula(get_law("negative-control-1").formula)[1]
         for inst in result.violations[:5]:
             env = dict(inst.bindings)
-            assert not law.checker(env, inst.size)
+            assert not check(env, inst.size)
 
 
 class TestLanesAgreeWithTheReference:
@@ -440,12 +442,13 @@ class TestSetLevelOracle:
     @pytest.mark.parametrize("name", sorted(SET_LEVEL))
     def test_formula_agrees_with_the_set_level_check(self, name):
         law, oracle = get_law(name), SET_LEVEL[name]
+        check = compile_sformula(law.formula)[1]
         verdicts = set()
         for size in (1, 2, 3, 4):
             sp = abstract_space(size)
             for env in _set_level_bindings(law, sp):
                 want = oracle(env, sp)
-                assert bool(law.checker(env, size)) == want, (name, size, sorted(env.items()))
+                assert bool(check(env, size)) == want, (name, size, sorted(env.items()))
                 verdicts.add(want)
         # the negative controls must be seen to fail somewhere
         assert verdicts == ({True, False} if law.expect_violations else {True})
