@@ -6,7 +6,8 @@ writes the unbounded-integer condition, and `dump-relation` prints the
 denoted relation as index pairs.
 
 Exit codes: 0 on success (triple holds / no law violations), 1 when a
-verdict is negative, 2 for usage, parse, or input errors.  Reports go to
+verdict is negative, 2 for usage, parse, or input errors, and 141 when the
+reader of stdout closes it early.  Reports go to
 stdout; diagnostics go to stderr.  Output is deterministic for identical
 inputs and seeds.
 """
@@ -251,10 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ScalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader stopped early (`scalc laws | head -1`); send what is
+        # still buffered to devnull, so that the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as for a process the signal ended
 
 
 if __name__ == "__main__":

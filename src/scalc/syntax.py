@@ -28,6 +28,11 @@ written.
 Every variable reference must be preceded by a declaration (or appear in the
 set of predeclared names handed to the parser); there is no block scoping,
 and re-declaring a name is allowed.
+
+Nothing may nest deeper than MAX_NESTING levels: every statement and
+expression node, parenthesized group and block is a level, and a sequence
+adds none.  Deeper input is a ScalcSyntaxError at the token that would go
+past the bound.
 """
 
 from __future__ import annotations
@@ -53,6 +58,10 @@ from .predicates import (
     Var,
     operator_of,
 )
+
+# the deepest nesting the parser accepts, so that every recursive walk over
+# what it returns fits the interpreter's stack
+MAX_NESTING = 100
 
 # ---------------------------------------------------------------------------
 # statement AST
@@ -214,6 +223,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.declared = declared
+        self.depth = 0  # levels of nesting open around what is parsed next
 
     # --- token plumbing
 
@@ -253,6 +263,21 @@ class _Parser:
         if name not in self.declared:
             raise UndeclaredVariableError(name, span)
 
+    # --- nesting
+
+    def below(self, parse, *args):
+        """`parse(*args)` one level of nesting further down."""
+        self.depth += 1
+        out = parse(*args)
+        self.depth -= 1
+        return out
+
+    def fits(self, height: int, tok: Token):
+        """Refuse a construct `height` levels tall at `tok` if it would nest
+        deeper than MAX_NESTING."""
+        if self.depth + height > MAX_NESTING:
+            raise ScalcSyntaxError(f"nested deeper than {MAX_NESTING} levels", tok.span)
+
     # --- statements
 
     def program(self) -> Stmt:
@@ -272,10 +297,11 @@ class _Parser:
 
     def stmt(self) -> Stmt:
         tok = self.peek()
-        if self.accept(";"):
-            return Nop(span=tok.span)
         if tok.kind == "keyword" and tok.text in ("int", "bool"):
             return seq_of(self.decl_parts())
+        self.fits(1, tok)
+        if self.accept(";"):
+            return Nop(span=tok.span)
         if self.at("if"):
             return self.cond()
         if self.at("while"):
@@ -289,11 +315,12 @@ class _Parser:
     def decl_parts(self) -> list[Stmt]:
         """`int a;` or `int a = e;` (the latter desugars to decl + assign)."""
         ty = self.advance()
+        self.fits(1, ty)
         name = self.expect_ident()
         self.declared.add(name.text)
         init = None
         if self.accept("="):
-            init = self.arith()
+            init = self.below(self.arith)
         end = self.expect(";")
         decl = Decl(name.text, ty.text, span=self._join(ty.span, end.span))
         if init is None:
@@ -306,10 +333,11 @@ class _Parser:
         target = Var(name.text, span=name.span)
         tok = self.peek()
         if self.accept("="):
-            expr = self.arith()
+            expr = self.below(self.arith)
         elif tok.text in ("+=", "-=", "*="):
             self.advance()
-            expr = INFIX[tok.text[0]].node(target, self.arith())
+            # two levels down: below the assignment and the operator it adds
+            expr = INFIX[tok.text[0]].node(target, self.below(self.below, self.arith))
         elif tok.text in ("++", "--"):
             self.advance()
             expr = INFIX[tok.text[0]].node(target, Const(1))
@@ -321,18 +349,18 @@ class _Parser:
     def cond(self) -> Stmt:
         start = self.expect("if")
         self.expect("(")
-        guard = self.pred()
+        guard = self.below(self.pred)
         self.expect(")")
-        then_branch = self.stmt()
-        else_branch = self.stmt() if self.accept("else") else Nop()
+        then_branch = self.below(self.stmt)
+        else_branch = self.below(self.stmt) if self.accept("else") else Nop()
         return IfThenElse(guard, then_branch, else_branch, span=start.span)
 
     def loop(self) -> Stmt:
         start = self.expect("while")
         self.expect("(")
-        guard = self.pred()
+        guard = self.below(self.pred)
         self.expect(")")
-        body = self.stmt()
+        body = self.below(self.stmt)
         return While(guard, body, span=start.span)
 
     def block(self) -> Stmt:
@@ -341,7 +369,7 @@ class _Parser:
         while not self.at("}"):
             if self.peek().kind == "eof":
                 self.fail("unterminated block")
-            self.stmt_into(stmts)
+            self.below(self.stmt_into, stmts)
         end = self.expect("}")
         out = seq_of(stmts)
         if isinstance(out, Nop) and out.span is None:
@@ -355,17 +383,17 @@ class _Parser:
     # --- expressions: precedence climbing over predicates.OPERATORS
 
     def pred(self) -> PredExpr:
-        return self.expr(0)
+        return self.expr(0)[0]
 
     def arith(self) -> ArithExpr:
-        return self.expr(CMP_LEVEL + 1)
+        return self.expr(CMP_LEVEL + 1)[0]
 
-    def expr(self, min_level: int, first=None) -> Expr:
+    def expr(self, min_level: int, first=None) -> tuple[Expr, int]:
         """The expression of operators at `min_level` or tighter starting
-        here (or at `first`, an operand already read).  Operators below
-        CMP_LEVEL combine predicates and the others arithmetic, so a
-        `min_level` up to CMP_LEVEL asks for a predicate."""
-        left = first or self.operand(min_level)
+        here (or at `first`, an operand already read), and its height in
+        levels.  Operators below CMP_LEVEL combine predicates and the others
+        arithmetic, so a `min_level` up to CMP_LEVEL asks for a predicate."""
+        left, height = first or self.operand(min_level)
         while True:
             tok = self.peek()
             op = INFIX.get(tok.text)
@@ -373,52 +401,55 @@ class _Parser:
                 break
             self.advance()
             right_level = op.level if op.grouping == "right" else op.level + 1
-            right = self.expr(right_level)
+            right, right_height = self.below(self.expr, right_level)
+            height = max(height, right_height) + 1
+            self.fits(height, tok)
             left = Cmp(tok.text, left, right, span=tok.span) if op.node is Cmp else op.node(left, right)
         if min_level <= CMP_LEVEL and isinstance(left, ArithExpr):
             self.fail("expected a comparison operator")
-        return left
+        return left, height
 
-    def operand(self, min_level: int) -> Expr:
+    def operand(self, min_level: int) -> tuple[Expr, int]:
         tok = self.peek()
+        self.fits(1, tok)
         op = PREFIX.get(tok.text)
         if op is not None and op.level >= min_level:
             self.advance()
-            inner = self.expr(op.level)
+            inner, height = self.below(self.expr, op.level)
             if op.node is Neg and isinstance(inner, Const):
                 # Fold so a negative literal prints back as itself.
-                return Const(-inner.value, span=tok.span)
-            return op.node(inner, span=tok.span)
+                return Const(-inner.value, span=tok.span), height + 1
+            return op.node(inner, span=tok.span), height + 1
         if min_level <= CMP_LEVEL:
             if tok.kind == "keyword" and tok.text in ("true", "false"):
                 self.advance()
-                return BoolConst(tok.text == "true", span=tok.span)
+                return BoolConst(tok.text == "true", span=tok.span), 1
             if tok.text == "(":
                 # Could open a parenthesized predicate or the left operand of a
                 # comparison; try the comparison reading first and backtrack.
-                mark = self.pos
+                mark = self.pos, self.depth
                 try:
                     return self.expr(CMP_LEVEL, self.operand(CMP_LEVEL + 1))
                 except ScalcSyntaxError:
-                    self.pos = mark
+                    self.pos, self.depth = mark
                 return self.parenthesized(0)
         if tok.kind == "int":
             self.advance()
-            return Const(int(tok.text), span=tok.span)
+            return Const(int(tok.text), span=tok.span), 1
         if tok.kind == "ident":
             self.advance()
             self.check_declared(tok.text, tok.span)
-            return Var(tok.text, span=tok.span)
+            return Var(tok.text, span=tok.span), 1
         if tok.text == "(":
             return self.parenthesized(CMP_LEVEL + 1)
         return self.fail("expected an arithmetic operand")
 
-    def parenthesized(self, min_level: int) -> Expr:
+    def parenthesized(self, min_level: int) -> tuple[Expr, int]:
         """`(`, an expression of operators at `min_level` or tighter, `)`."""
         self.expect("(")
-        inner = self.expr(min_level)
+        inner, height = self.below(self.expr, min_level)
         self.expect(")")
-        return inner
+        return inner, height + 1
 
 
 def parse_program(source: str, predeclared=()) -> Stmt:

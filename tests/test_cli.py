@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -7,8 +9,11 @@ import pytest
 from scalc import state_space
 from scalc.cli import main
 from scalc.laws import DEFAULT_SEED, LAWS, check_law
+from scalc.specfile import load_task
+from scalc.syntax import MAX_NESTING, expr_to_str, pretty_print
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
 EX41 = str(SPECS / "ex41.spec")
 EX41_BAD = str(SPECS / "ex41_bad.spec")
 EX42 = str(SPECS / "ex42.spec")
@@ -407,3 +412,90 @@ class TestDeterminism:
             _, out, _ = run(capsys, "laws", "--law", "t1", "--trials", "10", "--size", "2")
             outputs.add(out)
         assert len(outputs) == 1
+
+
+class TestBrokenPipe:
+    """A reader that closes stdout after the first line ends the run with
+    exit 141 and nothing on stderr.  Each command still has output to write
+    after that line: 2**14 relation pairs overflow any pipe buffer, and each
+    law at 20 000 trials takes long enough that the close comes first."""
+
+    def run_closing_after_one_line(self, argv):
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        env.pop("SCALC_MAX_STATES", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "scalc", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return first, proc.wait(timeout=60), err
+
+    def test_laws(self):
+        first, code, err = self.run_closing_after_one_line(["laws", "--trials", "20000"])
+        assert json.loads(first)["law"] == "thm3.1a"
+        assert (code, err) == (141, b"")
+
+    def test_dump_relation(self, tmp_path):
+        spec = tmp_path / "wide.spec"
+        spec.write_text("[vars]\na: int 0..16383\n\n[program]\n;\n\n[post]\ntrue\n")
+        first, code, err = self.run_closing_after_one_line(["dump-relation", str(spec)])
+        assert first == b"[0, 0]\n"
+        assert (code, err) == (141, b"")
+
+
+def nesting_spec(program="i = i;", pre="true", post="true"):
+    return f"[vars]\ni: int 0..3\n\n[program]\n{program}\n\n[pre]\n{pre}\n\n[post]\n{post}\n"
+
+
+# each construct repeated until the deepest path through the spec's ASTs
+# has `levels` nodes (a parenthesized group counting as one)
+NESTED = {
+    # the assignment, levels - 2 additions, then `i`
+    "sum": lambda levels: nesting_spec("i = i" + " + 0" * (levels - 2) + ";"),
+    # levels - 2 conjunctions, then a comparison and `i`
+    "and": lambda levels: nesting_spec(pre=" && ".join(["i >= 0"] * (levels - 1))),
+    # the assignment, levels - 2 groups, then `i`
+    "parens": lambda levels: nesting_spec("i = " + "(" * (levels - 2) + "i" + ")" * (levels - 2) + ";"),
+    # levels - 2 conditionals, then the last one's comparison and `i`
+    "if": lambda levels: nesting_spec("if (i >= 0) " * (levels - 2) + ";"),
+    # levels - 2 negations, then a comparison and `i`
+    "not": lambda levels: nesting_spec(post="!" * (levels - 2) + "i >= 0"),
+}
+# the same constructs at the sizes that once ended in a RecursionError
+OVERSIZED = {
+    "sum": NESTED["sum"](1501),
+    "and": NESTED["and"](1501),
+    "parens": NESTED["parens"](302),
+    "if": NESTED["if"](602),
+    "not": NESTED["not"](1502),
+}
+NESTING_COMMANDS = (["verify"], ["wp"], ["dump-relation"], ["export-smt"])
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize("construct", sorted(NESTED))
+    def test_the_deepest_accepted_nesting_runs_everywhere(self, capsys, tmp_path, construct):
+        spec = tmp_path / "deep.spec"
+        spec.write_text(NESTED[construct](MAX_NESTING))
+        for argv in NESTING_COMMANDS:
+            code, _, err = run(capsys, *argv, str(spec))
+            assert code in (0, 1) and err == "", (argv, err)
+        task = load_task(str(spec))
+        assert pretty_print(task.program) and expr_to_str(task.pre) and expr_to_str(task.post)
+
+    @pytest.mark.parametrize("construct", sorted(NESTED))
+    @pytest.mark.parametrize("size", ["one-deeper", "oversized"])
+    def test_deeper_nesting_is_one_error_line(self, capsys, tmp_path, construct, size):
+        spec = tmp_path / "deep.spec"
+        spec.write_text(NESTED[construct](MAX_NESTING + 1) if size == "one-deeper" else OVERSIZED[construct])
+        for argv in NESTING_COMMANDS:
+            code, out, err = run(capsys, *argv, str(spec))
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert f"nested deeper than {MAX_NESTING} levels" in err
