@@ -90,6 +90,10 @@ class ScalcSyntaxError(ScalcError):
         self.span = span
 
 
+class NestingTooDeepError(ScalcSyntaxError):
+    """Input nested deeper than the parser accepts."""
+
+
 class UndeclaredVariableError(ScalcError):
     def __init__(self, var: str, span: SourceSpan):
         super().__init__(f"{span}: variable '{var}' used before declaration")

@@ -235,19 +235,20 @@ def compile_arith(e: ArithExpr, space: StateSpace) -> Callable[[int], ArithValue
         return lambda i: values[i // stride % size]
     if isinstance(e, Neg):
         return compile_arith(Sub(Const(0), e.operand), space)
-    if not isinstance(e, ArithExpr) or operator_of(e) is None:
-        raise TypeError(f"not an arithmetic expression: {e!r}")
-    op = operator_of(e).apply
-    left, right = compile_arith(e.left, space), compile_arith(e.right, space)
+    entry = BY_NODE.get(type(e))
+    if entry is not None and isinstance(e, ArithExpr):
+        op = entry.apply
+        left, right = compile_arith(e.left, space), compile_arith(e.right, space)
 
-    def binary(i: int) -> ArithValue:
-        a, b = left(i), right(i)
-        if a is UNDEFINED or b is UNDEFINED:
-            return UNDEFINED
-        v = op(a, b)
-        return v if INT64_MIN <= v <= INT64_MAX else UNDEFINED
+        def binary(i: int) -> ArithValue:
+            a, b = left(i), right(i)
+            if a is UNDEFINED or b is UNDEFINED:
+                return UNDEFINED
+            v = op(a, b)
+            return v if INT64_MIN <= v <= INT64_MAX else UNDEFINED
 
-    return binary
+        return binary
+    raise TypeError(f"not an arithmetic expression: {e!r}")
 
 
 def compile_pred(p: PredExpr, space: StateSpace) -> Callable[[int], bool]:

@@ -42,7 +42,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .errors import ScalcSyntaxError, SourceSpan, UndeclaredVariableError
+from .errors import NestingTooDeepError, ScalcSyntaxError, SourceSpan, UndeclaredVariableError
 from .predicates import (
     CMP_LEVEL,
     INFIX,
@@ -62,6 +62,9 @@ from .predicates import (
 # the deepest nesting the parser accepts, so that every recursive walk over
 # what it returns fits the interpreter's stack
 MAX_NESTING = 100
+# the `min_level` at which `_Parser.expr` reads a predicate, an arithmetic
+# expression
+_PRED, _ARITH = 0, CMP_LEVEL + 1
 
 # ---------------------------------------------------------------------------
 # statement AST
@@ -157,14 +160,21 @@ def declared_vars(stmt: Stmt) -> list[tuple[str, str]]:
 
 KEYWORDS = {"int", "bool", "if", "else", "while", "true", "false"}
 
+# the expression operators and the statements' punctuation, longest first so
+# that `<->` is not read as `<` and `-`
+_OPS = sorted(
+    {*INFIX, *PREFIX, "=", "+=", "-=", "*=", "++", "--", "(", ")", "{", "}", ";"},
+    key=lambda t: (-len(t), t),
+)
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>//[^\n]*)
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op><->|->|\+\+|--|\+=|-=|\*=|==|!=|<=|>=|&&|\|\||[=+\-*!<>(){};])
-    """,
+  | (?P<op>"""
+    + "|".join(map(re.escape, _OPS))
+    + ")",
     re.VERBOSE,
 )
 
@@ -266,17 +276,18 @@ class _Parser:
     # --- nesting
 
     def below(self, parse, *args):
-        """`parse(*args)` one level of nesting further down."""
+        """`parse(*args)` for a part of the construct being read, one level
+        further down; refused at the part's first token if its level would
+        be past MAX_NESTING."""
+        if self.depth + 2 > MAX_NESTING:
+            self.too_deep(self.peek())
         self.depth += 1
         out = parse(*args)
         self.depth -= 1
         return out
 
-    def fits(self, height: int, tok: Token):
-        """Refuse a construct `height` levels tall at `tok` if it would nest
-        deeper than MAX_NESTING."""
-        if self.depth + height > MAX_NESTING:
-            raise ScalcSyntaxError(f"nested deeper than {MAX_NESTING} levels", tok.span)
+    def too_deep(self, tok: Token):
+        raise NestingTooDeepError(f"nested deeper than {MAX_NESTING} levels", tok.span)
 
     # --- statements
 
@@ -299,7 +310,6 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "keyword" and tok.text in ("int", "bool"):
             return seq_of(self.decl_parts())
-        self.fits(1, tok)
         if self.accept(";"):
             return Nop(span=tok.span)
         if self.at("if"):
@@ -315,12 +325,11 @@ class _Parser:
     def decl_parts(self) -> list[Stmt]:
         """`int a;` or `int a = e;` (the latter desugars to decl + assign)."""
         ty = self.advance()
-        self.fits(1, ty)
         name = self.expect_ident()
         self.declared.add(name.text)
         init = None
         if self.accept("="):
-            init = self.below(self.arith)
+            init = self.below(self.expr, _ARITH)[0]
         end = self.expect(";")
         decl = Decl(name.text, ty.text, span=self._join(ty.span, end.span))
         if init is None:
@@ -333,11 +342,11 @@ class _Parser:
         target = Var(name.text, span=name.span)
         tok = self.peek()
         if self.accept("="):
-            expr = self.below(self.arith)
+            expr = self.below(self.expr, _ARITH)[0]
         elif tok.text in ("+=", "-=", "*="):
             self.advance()
             # two levels down: below the assignment and the operator it adds
-            expr = INFIX[tok.text[0]].node(target, self.below(self.below, self.arith))
+            expr = INFIX[tok.text[0]].node(target, self.below(self.below, self.expr, _ARITH)[0])
         elif tok.text in ("++", "--"):
             self.advance()
             expr = INFIX[tok.text[0]].node(target, Const(1))
@@ -349,7 +358,7 @@ class _Parser:
     def cond(self) -> Stmt:
         start = self.expect("if")
         self.expect("(")
-        guard = self.below(self.pred)
+        guard = self.below(self.expr, _PRED)[0]
         self.expect(")")
         then_branch = self.below(self.stmt)
         else_branch = self.below(self.stmt) if self.accept("else") else Nop()
@@ -358,7 +367,7 @@ class _Parser:
     def loop(self) -> Stmt:
         start = self.expect("while")
         self.expect("(")
-        guard = self.below(self.pred)
+        guard = self.below(self.expr, _PRED)[0]
         self.expect(")")
         body = self.below(self.stmt)
         return While(guard, body, span=start.span)
@@ -382,12 +391,6 @@ class _Parser:
 
     # --- expressions: precedence climbing over predicates.OPERATORS
 
-    def pred(self) -> PredExpr:
-        return self.expr(0)[0]
-
-    def arith(self) -> ArithExpr:
-        return self.expr(CMP_LEVEL + 1)[0]
-
     def expr(self, min_level: int, first=None) -> tuple[Expr, int]:
         """The expression of operators at `min_level` or tighter starting
         here (or at `first`, an operand already read), and its height in
@@ -403,7 +406,8 @@ class _Parser:
             right_level = op.level if op.grouping == "right" else op.level + 1
             right, right_height = self.below(self.expr, right_level)
             height = max(height, right_height) + 1
-            self.fits(height, tok)
+            if self.depth + height > MAX_NESTING:
+                self.too_deep(tok)
             left = Cmp(tok.text, left, right, span=tok.span) if op.node is Cmp else op.node(left, right)
         if min_level <= CMP_LEVEL and isinstance(left, ArithExpr):
             self.fail("expected a comparison operator")
@@ -411,7 +415,6 @@ class _Parser:
 
     def operand(self, min_level: int) -> tuple[Expr, int]:
         tok = self.peek()
-        self.fits(1, tok)
         op = PREFIX.get(tok.text)
         if op is not None and op.level >= min_level:
             self.advance()
@@ -429,10 +432,12 @@ class _Parser:
                 # comparison; try the comparison reading first and backtrack.
                 mark = self.pos, self.depth
                 try:
-                    return self.expr(CMP_LEVEL, self.operand(CMP_LEVEL + 1))
+                    return self.expr(CMP_LEVEL, self.operand(_ARITH))
+                except NestingTooDeepError:
+                    raise
                 except ScalcSyntaxError:
                     self.pos, self.depth = mark
-                return self.parenthesized(0)
+                return self.parenthesized(_PRED)
         if tok.kind == "int":
             self.advance()
             return Const(int(tok.text), span=tok.span), 1
@@ -441,7 +446,7 @@ class _Parser:
             self.check_declared(tok.text, tok.span)
             return Var(tok.text, span=tok.span), 1
         if tok.text == "(":
-            return self.parenthesized(CMP_LEVEL + 1)
+            return self.parenthesized(_ARITH)
         return self.fail("expected an arithmetic operand")
 
     def parenthesized(self, min_level: int) -> tuple[Expr, int]:
@@ -460,7 +465,7 @@ def parse_program(source: str, predeclared=()) -> Stmt:
 def parse_pred(source: str, declared=()) -> PredExpr:
     """Parse a standalone predicate (used for pre/postconditions)."""
     parser = _Parser(tokenize(source), set(declared))
-    out = parser.pred()
+    out = parser.expr(_PRED)[0]
     if parser.peek().kind != "eof":
         parser.fail("trailing input after predicate")
     return out
@@ -468,7 +473,7 @@ def parse_pred(source: str, declared=()) -> PredExpr:
 
 def parse_arith(source: str, declared=()) -> ArithExpr:
     parser = _Parser(tokenize(source), set(declared))
-    out = parser.arith()
+    out = parser.expr(_ARITH)[0]
     if parser.peek().kind != "eof":
         parser.fail("trailing input after expression")
     return out

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from scalc.errors import ScalcSyntaxError, UndeclaredVariableError
+from scalc.errors import NestingTooDeepError, ScalcSyntaxError, UndeclaredVariableError
 from scalc.predicates import (
     Add,
     And,
@@ -19,6 +19,7 @@ from scalc.predicates import (
     Var,
 )
 from scalc.syntax import (
+    MAX_NESTING,
     Assign,
     Decl,
     IfThenElse,
@@ -348,3 +349,83 @@ def test_round_trip_random_predicates():
     for _ in range(300):
         p = random_cond(rng, ("a", "b"), 4)
         assert parse_pred(expr_to_str(p), declared=("a", "b")) == p
+
+
+# Random source text with its nesting in levels, counted as the parser's
+# bound counts them: one per statement, operator, constant, variable,
+# parenthesized group and block, none for a sequence.  Each construct gets
+# one operand `budget` deep and keeps its others shallow, so the text stays
+# short.  Every operand is parenthesized, so precedence never decides the
+# shape.
+
+
+def nested_arith(rng, budget):
+    r = rng.random()
+    if budget <= 2 or r < 0.1:
+        return rng.choice(("i", "3")), 1
+    if r < 0.3:
+        text, levels = nested_arith(rng, budget - 1)
+        return f"({text})", levels + 1
+    if r < 0.45:
+        text, levels = nested_arith(rng, budget - 2)
+        return f"-({text})", levels + 2
+    # a left-grouped chain: operand j of k sits k - j levels below the top
+    op, k = rng.choice("+-*"), rng.randrange(2, 12)
+    deep = rng.randrange(k)
+    parts, height = [], 0
+    for j in range(k):
+        text, levels = nested_arith(rng, budget - 2 if j == deep else min(budget - 2, 3))
+        parts.append(f"({text})")
+        height = levels + 1 if j == 0 else max(height, levels + 1) + 1
+    return f" {op} ".join(parts), height
+
+
+def nested_pred(rng, budget):
+    r = rng.random()
+    if budget <= 3 or r < 0.2:
+        left, nl = nested_arith(rng, budget - 2)
+        right, nr = nested_arith(rng, min(budget - 2, 3))
+        return f"({left}) < ({right})", 2 + max(nl, nr)
+    if r < 0.4:
+        text, levels = nested_pred(rng, budget - 2)
+        return f"!({text})", levels + 2
+    op = rng.choice(("&&", "||", "->", "<->"))
+    texts = [nested_pred(rng, budget - 2), nested_pred(rng, min(budget - 2, 4))]
+    rng.shuffle(texts)
+    (left, nl), (right, nr) = texts
+    return f"({left}) {op} ({right})", 2 + max(nl, nr)
+
+
+def nested_stmt(rng, budget):
+    r = rng.random()
+    if budget <= 3 or r < 0.25:
+        text, levels = nested_arith(rng, budget - 1)
+        return f"i = {text};", levels + 1
+    shallow = min(budget - 1, 3)
+    if r < 0.6:
+        cond, body = nested_pred(rng, budget - 1), nested_stmt(rng, shallow)
+        if rng.random() < 0.5:
+            cond, body = nested_pred(rng, shallow), nested_stmt(rng, budget - 1)
+        if r < 0.4:
+            return f"while ({cond[0]}) {body[0]}", 1 + max(cond[1], body[1])
+        # the then-branch in braces, so that `else` cannot change owners
+        other = nested_stmt(rng, rng.choice((shallow, budget - 1)))
+        return f"if ({cond[0]}) {{ {body[0]} }} else {other[0]}", 1 + max(cond[1], body[1] + 1, other[1])
+    parts = [nested_stmt(rng, shallow) for _ in range(rng.randrange(3))]
+    parts.insert(rng.randrange(len(parts) + 1), nested_stmt(rng, budget - 1))
+    return "{ " + " ".join(t for t, _ in parts) + " }", 1 + max(n for _, n in parts)
+
+
+def test_the_nesting_bound_refuses_exactly_the_inputs_nested_too_deep():
+    rng = random.Random(0xDEE9)
+    outcomes = set()
+    for trial in range(300):
+        text, levels = nested_stmt(rng, rng.randrange(80, 120))
+        try:
+            parse_program(text, predeclared=("i",))
+            accepted = True
+        except NestingTooDeepError:
+            accepted = False
+        assert accepted == (levels <= MAX_NESTING), (trial, levels, text)
+        outcomes.add(accepted)
+    assert outcomes == {True, False}
