@@ -415,6 +415,13 @@ class _Parser:
 
     def operand(self, min_level: int) -> tuple[Expr, int]:
         tok = self.peek()
+        if tok.kind == "int":
+            self.advance()
+            return Const(int(tok.text), span=tok.span), 1
+        if tok.kind == "ident":
+            self.advance()
+            self.check_declared(tok.text, tok.span)
+            return Var(tok.text, span=tok.span), 1
         op = PREFIX.get(tok.text)
         if op is not None and op.level >= min_level:
             self.advance()
@@ -438,13 +445,6 @@ class _Parser:
                 except ScalcSyntaxError:
                     self.pos, self.depth = mark
                 return self.parenthesized(_PRED)
-        if tok.kind == "int":
-            self.advance()
-            return Const(int(tok.text), span=tok.span), 1
-        if tok.kind == "ident":
-            self.advance()
-            self.check_declared(tok.text, tok.span)
-            return Var(tok.text, span=tok.span), 1
         if tok.text == "(":
             return self.parenthesized(_ARITH)
         return self.fail("expected an arithmetic operand")
