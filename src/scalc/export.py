@@ -62,8 +62,8 @@ class VCDocument:
 
 
 def _smt(node, *terms: str) -> str:
-    """The SMT-LIB term of the operator that builds `node` (a comparison:
-    that has `node` as its token) over `terms`."""
+    """The SMT-LIB term over `terms` of the operator that builds the class
+    `node`, or of the comparison whose token `node` is."""
     return BY_NODE[node].smt.format(*terms)
 
 

@@ -414,6 +414,8 @@ class _Parser:
         return left, height
 
     def operand(self, min_level: int) -> tuple[Expr, int]:
+        """A constant, a variable, a prefix operator's application or a
+        parenthesized group, and its height in levels."""
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
