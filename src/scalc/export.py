@@ -39,6 +39,11 @@ from .syntax import (
     statements,
 )
 
+# the most statements a bounded expansion may emit; nested loops multiply
+# their copies, so a short program can ask for more than memory holds
+MAX_EXPANDED_STATEMENTS = 100_000
+
+
 @dataclass(frozen=True)
 class VCDocument:
     logic: str
@@ -187,6 +192,20 @@ def _conj(a: str, b: str) -> str:
     return _smt(And, a, b)
 
 
+def _expanded_size(s: Stmt, unroll: int) -> int:
+    """Statements the encoder emits for `s`: each loop `unroll` guarded
+    copies of its body, and so on for the loops inside them."""
+    n = 0
+    while isinstance(s, Seq):  # a loop, so that a long program fits the stack
+        n += _expanded_size(s.first, unroll)
+        s = s.second
+    if isinstance(s, IfThenElse):
+        return n + 1 + _expanded_size(s.then_branch, unroll) + _expanded_size(s.else_branch, unroll)
+    if isinstance(s, While):
+        return n + 1 + unroll * (1 + _expanded_size(s.body, unroll))
+    return n + 1
+
+
 def select_logic(program: Stmt, pre: PredExpr, post: PredExpr) -> str:
     """QF_LIA unless some multiplication has two non-constant operands."""
     exprs = [pre, post]
@@ -218,13 +237,19 @@ def export_vc(
     `variables` is the ordered list of (name, type) pairs visible to the
     pre/postcondition; in-program declarations havoc on top of these.  With
     loops present, `allow_partial_unroll` must be set and each loop is
-    expanded `unroll` times with deeper executions assumed away.
+    expanded `unroll` times with deeper executions assumed away; an
+    expansion past MAX_EXPANDED_STATEMENTS is refused before any encoding.
     """
     if mode not in ("total", "partial"):
         raise ValueError(f"unknown mode '{mode}'")
     if unroll < 0:
         raise ValueError("unroll bound must be nonnegative")
     has_loop = any(isinstance(s, While) for s in statements(program))
+    if has_loop and allow_partial_unroll and _expanded_size(program, unroll) > MAX_EXPANDED_STATEMENTS:
+        raise UnsupportedForExportError(
+            f"expanding every loop {unroll} times emits more than "
+            f"{MAX_EXPANDED_STATEMENTS} statements; lower the unroll bound"
+        )
 
     all_vars = list(variables)
     known = {name for name, _ in all_vars}

@@ -16,13 +16,16 @@ forward from that state only.  Key conventions:
 
 Assignments and guards are compiled once to functions of the state index
 (`predicates.compile_arith`/`compile_pred`).  `wp` and `dump-relation` read
-the rows one state at a time.  `denote` tabulates them for every state as a
+the rows one state at a time and keep only the tables that `successors`
+names; each loop's table spans the whole space, even when `verify` reads
+the rows of a few states.  `denote` tabulates them for every state as a
 `Relation`, one bitmask of finals per initial index, for tests and library
 users; the law suite builds its relations directly.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -37,6 +40,8 @@ from .syntax import (
     Stmt,
     While,
 )
+
+_NONE, _MANY, _UNSOLVED = -1, -2, -3  # loop table entries, not states
 
 
 @dataclass(frozen=True)
@@ -116,26 +121,42 @@ def successors(stmt: Stmt, space: StateSpace) -> Callable[[int], tuple[int, ...]
     final of the first; a loop takes the least finals described in the
     module docstring (see `_solve_loop`).
 
-    Each node is evaluated only on the states that reach it.  Assignments,
-    branches and loops remember their answers by state index for as long
-    as the returned function lives, so states that several paths reach are
-    evaluated once.
+    Each node is evaluated only on the states that reach it.  Two kinds of
+    table outlive a call.  A declaration and the statements after it, up to
+    the next declaration of the sequence, keep their finals by base: the
+    state with the declared variable's digit cleared.  A loop keeps 8 bytes
+    a state, and a tuple for each head with two or more finals.
     """
     def slot(var: str):
         pos = space.universe.position(var)
         return space.universe.vars[pos][1], space.strides[pos]
 
+    def after_decl(decl: Decl, rest: list) -> Callable[[int], tuple[int, ...]]:
+        dom, stride = slot(decl.var)
+
+        def havoc(i: int) -> tuple[int, ...]:
+            base = i - i // stride % dom.size * stride
+            return tuple(range(base, base + dom.size * stride, stride))
+
+        if not rest:
+            return havoc
+        memo: dict[int, tuple[int, ...]] = {}
+
+        def havoc_then_rest(i: int) -> tuple[int, ...]:
+            # `rest` holds no declaration, so these calls never nest
+            base = i - i // stride % dom.size * stride
+            out = memo.get(base)
+            if out is None:
+                out = memo[base] = _run(rest, havoc(base))
+            return out
+
+        return havoc_then_rest
+
     def build(s: Stmt) -> Callable[[int], tuple[int, ...]]:
         if isinstance(s, Nop):
             return lambda i: (i,)
         if isinstance(s, Decl):
-            dom, stride = slot(s.var)
-
-            def havoc(i: int) -> tuple[int, ...]:
-                base = i - i // stride % dom.size * stride
-                return tuple(range(base, base + dom.size * stride, stride))
-
-            return havoc
+            return after_decl(s, [])
         if isinstance(s, Assign):
             dom, stride = slot(s.var)
             value_at = compile_arith(s.expr, space)
@@ -157,38 +178,34 @@ def successors(stmt: Stmt, space: StateSpace) -> Callable[[int], tuple[int, ...]
                     return ()
                 return (i + (k - i // stride % size) * stride,)
 
-            return _memoised(assign)
+            return assign
         if isinstance(s, Seq):
             # the parts of a sequence run in a loop, not nested calls, so
-            # that a long program does not exhaust the interpreter's stack
-            parts = []
-            while isinstance(s, Seq):
-                parts.append(build(s.first))
-                s = s.second
-            parts.append(build(s))
-
-            def seq(i: int) -> tuple[int, ...]:
-                here = (i,)
-                for part in parts:
-                    if len(here) == 1:
-                        here = part(here[0])
-                    else:
-                        here = tuple(sorted(set().union(*map(part, here))))
-                return here
-
-            return seq
+            # that a long program does not exhaust the interpreter's stack;
+            # each declaration starts a part of its own (see `after_decl`)
+            groups: list[list] = [[]]
+            while s is not None:
+                part, s = (s.first, s.second) if isinstance(s, Seq) else (s, None)
+                if isinstance(part, Decl):
+                    groups.append([part])
+                else:
+                    groups[-1].append(build(part))
+            parts = groups[0] + [after_decl(decl, rest) for decl, *rest in groups[1:]]
+            return lambda i: _run(parts, (i,))
         if isinstance(s, IfThenElse):
             holds = compile_pred(s.cond, space)
             then, orelse = build(s.then_branch), build(s.else_branch)
-            return _memoised(lambda i: then(i) if holds(i) else orelse(i))
+            return lambda i: then(i) if holds(i) else orelse(i)
         if isinstance(s, While):
             body, guard = build(s.body), compile_pred(s.cond, space)
-            solved: dict[int, tuple[int, ...]] = {}
+            table = array("q", [_UNSOLVED]) * space.size
+            many: dict[int, tuple[int, ...]] = {}
 
             def loop(i: int) -> tuple[int, ...]:
-                if i not in solved:
-                    _solve_loop(i, guard, body, solved)
-                return solved[i]
+                if table[i] == _UNSOLVED:
+                    _solve_loop(i, guard, body, table, many)
+                j = table[i]
+                return (j,) if j >= 0 else many.get(i, ())
 
             return loop
         raise TypeError(f"not a statement: {s!r}")
@@ -196,26 +213,26 @@ def successors(stmt: Stmt, space: StateSpace) -> Callable[[int], tuple[int, ...]
     return build(stmt)
 
 
-def _memoised(fn: Callable[[int], tuple[int, ...]]) -> Callable[[int], tuple[int, ...]]:
-    memo: dict[int, tuple[int, ...]] = {}
-
-    def lookup(i: int) -> tuple[int, ...]:
-        out = memo.get(i)
-        if out is None:
-            out = memo[i] = fn(i)
-        return out
-
-    return lookup
+def _run(parts: list, here: tuple[int, ...]) -> tuple[int, ...]:
+    """The finals of running `parts` in order from the states `here`."""
+    for part in parts:
+        if len(here) == 1:
+            here = part(here[0])
+        else:
+            here = tuple(sorted(set().union(*map(part, here))))
+    return here
 
 
 def _solve_loop(
     start: int,
     guard: Callable[[int], bool],
     body: Callable[[int], tuple[int, ...]],
-    solved: dict[int, tuple[int, ...]],
+    table: array,
+    many: dict[int, tuple[int, ...]],
 ):
-    """Add to `solved` the loop's finals from every loop-head state that is
-    reachable from `start` and not yet in `solved`.
+    """Solve every loop-head state that is reachable from `start` and still
+    _UNSOLVED in `table`: write its one final there, or _NONE, or _MANY
+    with the finals in `many`.
 
     The finals of a head h are {h} where the guard is false at h, and
     otherwise the union of the finals of h's body successors: the least
@@ -228,7 +245,7 @@ def _solve_loop(
     stack = [start]
     while stack:
         h = stack.pop()
-        if h in finals or h in solved:
+        if h in finals or table[h] != _UNSOLVED:
             continue
         if not guard(h):
             finals[h] = {h}
@@ -236,11 +253,14 @@ def _solve_loop(
             continue
         out = finals[h] = set()
         for k in body(h):
-            if k in solved:
-                out.update(solved[k])
-            else:
+            j = table[k]
+            if j == _UNSOLVED:
                 preds.setdefault(k, []).append(h)
                 stack.append(k)
+            elif j >= 0:
+                out.add(j)
+            elif j == _MANY:
+                out.update(many[k])
         if out:
             work.append(h)
     while work:
@@ -252,7 +272,9 @@ def _solve_loop(
             if len(out) != before:
                 work.append(h)
     for h, out in finals.items():
-        solved[h] = tuple(sorted(out))
+        if len(out) > 1:
+            many[h] = tuple(sorted(out))
+        table[h] = _MANY if len(out) > 1 else out.pop() if out else _NONE
 
 
 __all__ = [

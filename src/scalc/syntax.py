@@ -498,9 +498,10 @@ def expr_to_str(e: Expr) -> str:
         raise TypeError(f"not an expression: {e!r}")
     if op.grouping == "prefix":
         # `!!p` reads back as written but `--x` would not, and a comparison
-        # under `!` is parenthesized
+        # under `!` is parenthesized, and so is a literal under `-`, as `--5`
+        # would lex as a decrement
         inner = expr_to_str(e.operand)
-        bare = isinstance(e.operand, (Const, Var, BoolConst, Not))
+        bare = isinstance(e.operand, (Var, BoolConst, Not))
         return op.token + (inner if bare else f"({inner})")
     # the operand on the side the operator groups to may share its level
     if op.grouping == "right":

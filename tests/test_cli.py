@@ -1,13 +1,16 @@
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from scalc import state_space
 from scalc.cli import main
+from scalc.export import MAX_EXPANDED_STATEMENTS
 from scalc.laws import DEFAULT_SEED, LAWS, check_law
 from scalc.specfile import load_task
 from scalc.syntax import MAX_NESTING, expr_to_str, pretty_print
@@ -29,6 +32,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env(**extra):
+    """The environment of a `python -m scalc` child process."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("SCALC_MAX_STATES", None)
+    return env
 
 
 class TestVerify:
@@ -208,6 +219,31 @@ class TestExportSmt:
         )
         assert code == 0
         assert json.loads(out)["unroll"] == 5
+
+    def test_an_expansion_past_the_size_limit_is_one_error_line(self, capsys, tmp_path):
+        # 49 nested loops copied 3 times each would emit about 3**49
+        # statements; the child's address space is capped, so a missing
+        # check fails fast instead of filling the machine's memory
+        spec = tmp_path / "nested.spec"
+        spec.write_text(nesting_spec("while (i >= 0) " * 49 + "i = i;"))
+        argv = ["export-smt", str(spec), "--allow-partial-unroll", "--unroll", "3"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "scalc", *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+            timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-500:]
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert f"more than {MAX_EXPANDED_STATEMENTS} statements" in proc.stderr
+        start = time.perf_counter()
+        assert run(capsys, *argv)[0] == 2
+        assert time.perf_counter() - start < 1
+        # one copy of each body is small
+        code, out, err = run(capsys, *argv[:-1], "1")
+        assert (code, err) == (0, "") and out.endswith("(check-sat)\n")
 
 
 class TestDumpRelation:
@@ -421,14 +457,11 @@ class TestBrokenPipe:
     law at 20 000 trials takes long enough that the close comes first."""
 
     def run_closing_after_one_line(self, argv):
-        env = dict(os.environ, PYTHONUNBUFFERED="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        env.pop("SCALC_MAX_STATES", None)
         proc = subprocess.Popen(
             [sys.executable, "-m", "scalc", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=child_env(PYTHONUNBUFFERED="1"),
         )
         first = proc.stdout.readline()
         proc.stdout.close()

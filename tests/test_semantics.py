@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 
+from scalc import semantics
 from scalc.errors import SpaceMismatchError
-from scalc.hoare import check_total
+from scalc.hoare import check_total, program_wp
 from scalc.predicates import (
     UNDEFINED,
     Add,
@@ -15,6 +17,7 @@ from scalc.predicates import (
     Or,
     PredSet,
     Var,
+    compile_pred,
     pred_to_set,
 )
 from scalc.semantics import (
@@ -506,3 +509,80 @@ class TestRelationBasics:
         assert empty_relation(sp).pair_count() == 0
         assert full_relation(sp).pair_count() == 9
         assert identity_relation(sp).pair_count() == 3
+
+
+# ---------------------------------------------------------------------------
+# What `successors` keeps between calls: one entry per base after a
+# declaration and 8 bytes a state per loop, never a dict entry per state.
+
+# one spec shaped like each benchmark family (bench/workloads.py), at
+# 32 768 states (havoc at 32 736): variables, program, postcondition
+FAMILY_SPECS = {
+    "count": (
+        (("i", 0, 7), ("n", 0, 7), ("f", 0, 511)),
+        "while (i <= n) { f = f * i; i = i + 1; } if (f > 12) f = f - 8;",
+        "f <= 100",
+    ),
+    "branch": (
+        (("a", 0, 7), ("b", 0, 7), ("c", 0, 7), ("m", 0, 63)),
+        "if (a < b) { if (b <= c) m = a + b; else m = c - a; }"
+        " else { if (a > c) m = b * 2; else m = a + c + 3; }"
+        " if (m > 4) m = m - a;",
+        "m <= 30",
+    ),
+    "havoc": (
+        (("x", 0, 15), ("y", 0, 340), ("t", 0, 5)),
+        "int t; if (t < x) y = y + t; else y = y - 2; while (t > 0) { y = y + 1; t = t - 1; }",
+        "y <= 100",
+    ),
+    "diverge": (
+        (("i", 0, 15), ("t", 0, 15), ("z", 0, 127)),
+        "while (i != t) { i = i + 6; if (i > 15) i = i - 16; } if (z > 0) z = z - 1; else z = z + 2;",
+        "i <= 7",
+    ),
+}
+BYTES_A_STATE = 96
+
+
+def int_space(variables):
+    return build_space(VarUniverse(tuple((name, int_range_domain(name, lo, hi)) for name, lo, hi in variables)))
+
+
+def family_task(family):
+    variables, program, post = FAMILY_SPECS[family]
+    names = tuple(name for name, _, _ in variables)
+    return parse_program(program, predeclared=names), parse_pred(post, declared=names), int_space(variables)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
+def test_whole_space_wp_keeps_no_table_entry_per_state(family):
+    program, post, space = family_task(family)
+    assert space.size >= 32736
+    tracemalloc.start()
+    try:
+        program_wp(program, post, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= BYTES_A_STATE * space.size, f"{peak / space.size:.1f} bytes a state"
+
+
+def test_the_branch_after_a_declaration_runs_once_a_state(monkeypatch):
+    # every state of a base reaches the same states after `int t;`, so the
+    # branch that follows runs once for each of them, not once per initial
+    # state and value of t
+    program, _, _ = family_task("havoc")
+    space = int_space((("x", 0, 15), ("y", 0, 20), ("t", 0, 5)))
+    branch = program.second.first
+    assert isinstance(branch, IfThenElse)
+    calls = []
+
+    def counting(pred, sp):
+        holds = compile_pred(pred, sp)
+        if pred is not branch.cond:
+            return holds
+        return lambda i: calls.append(i) or holds(i)
+
+    monkeypatch.setattr(semantics, "compile_pred", counting)
+    assert denote(program, space) == relational_denote(program, space)
+    assert len(calls) == space.size

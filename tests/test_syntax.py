@@ -4,6 +4,8 @@ import pytest
 
 from scalc.errors import NestingTooDeepError, ScalcSyntaxError, UndeclaredVariableError
 from scalc.predicates import (
+    INT64_MAX,
+    INT64_MIN,
     Add,
     And,
     BoolConst,
@@ -17,7 +19,9 @@ from scalc.predicates import (
     Or,
     Sub,
     Var,
+    compile_arith,
 )
+from scalc.state_space import VarUniverse, build_space, int_range_domain
 from scalc.syntax import (
     MAX_NESTING,
     Assign,
@@ -349,6 +353,18 @@ def test_round_trip_random_predicates():
     for _ in range(300):
         p = random_cond(rng, ("a", "b"), 4)
         assert parse_pred(expr_to_str(p), declared=("a", "b")) == p
+
+
+@pytest.mark.parametrize("k", [-5, 0, 5, INT64_MIN, INT64_MAX])
+def test_a_minus_over_a_literal_prints_as_text_that_parses(k):
+    # the parser folds `-(k)` into Const(-k), so the tree differs but the
+    # value at every state is the same, UNDEFINED included
+    space = build_space(VarUniverse((("x", int_range_domain("x", -2, 2)),)))
+    for e in (Neg(Const(k)), Add(Var("x"), Neg(Const(k)))):
+        text = expr_to_str(e)
+        want, got = compile_arith(e, space), compile_arith(parse_arith(text, declared=("x",)), space)
+        assert [got(i) for i in range(space.size)] == [want(i) for i in range(space.size)], text
+    assert expr_to_str(Neg(Const(k))) == f"-({k})"
 
 
 # Random source text with its nesting in levels, counted as the parser's

@@ -7,6 +7,7 @@ evaluated state by state.  `verify` must print the same report: verdict,
 counterexample and stats; `denote` must build the same relation, and
 `program_wp` the same set."""
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -19,11 +20,11 @@ from scalc.predicates import BoolConst, Cmp, Const, Mul, Var
 from scalc.semantics import denote, successors
 from scalc.specfile import load_task
 from scalc.state_space import Domain, VarUniverse, build_space, int_range_domain
-from scalc.syntax import Assign, Decl, Seq, Stmt, While, parse_pred, parse_program, pretty_print
+from scalc.syntax import Assign, Decl, Seq, Stmt, While, parse_pred, parse_program, pretty_print, statements
 
 from test_predicates import pointwise_pred_to_set
 from test_semantics import relational_denote
-from test_syntax import random_cond, random_stmt
+from test_syntax import flatten_seq, random_cond, random_stmt, seq_of
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
 VARS = ("a", "b", "c")
@@ -103,12 +104,38 @@ def loops(stmt: Stmt):
             yield from loops(child)
 
 
+def declares_then_more(stmt: Stmt) -> bool:
+    """Whether a declaration is followed by another statement of its
+    sequence: where `successors` keeps its finals by base."""
+    return any(isinstance(s, Seq) and isinstance(s.first, Decl) for s in statements(stmt))
+
+
+def loop_declaring_then_more(rng) -> While:
+    """`while (p) { T v; s }`: the heads that go round again leave with
+    any of several values of v."""
+    rest = flatten_seq(random_stmt(rng, VARS, rng.randrange(0, 2)))
+    return While(random_cond(rng, VARS, 2), seq_of([Decl(rng.choice(VARS), "int"), *rest]))
+
+
 def test_denote_is_relational_denote():
     rng = random.Random(0x5CC)
+    # the random programs, then loops that the random draws seldom build
+    extra = random.Random(0x5CD)
+    programs = itertools.chain(
+        (random_stmt(rng, VARS, rng.randrange(1, 5)) for _ in range(250)),
+        (loop_declaring_then_more(extra) for _ in range(80)),
+    )
     space = space_abc()
-    seen = {"havoc": 0, "loop": 0, "divergence": 0, "stuck": 0}
-    for trial in range(250):
-        program = random_stmt(rng, VARS, rng.randrange(1, 5))
+    seen = {
+        "havoc": 0,
+        "loop": 0,
+        "divergence": 0,
+        "stuck": 0,
+        "declaration then more": 0,
+        "declaration then more in a loop body": 0,
+        "head with several finals": 0,
+    }
+    for trial, program in enumerate(programs):
         want = relational_denote(program, space)
         context = f"trial {trial}:\n{pretty_print(program)}"
         assert denote(program, space) == want, context
@@ -119,12 +146,21 @@ def test_denote_is_relational_denote():
         for i in order:
             m = want.succ[i]
             assert finals_of(i) == tuple(j for j in range(space.size) if m >> j & 1), f"state {i}, {context}"
+        # every head of every loop, whether or not the program reaches it
+        loop_rows = []
+        for loop in loops(program):
+            want_loop = relational_denote(loop, space)
+            assert denote(loop, space) == want_loop, context
+            loop_rows += want_loop.succ
         diverging = any(diverges(loop, space) for loop in loops(program))
         seen["havoc"] += contains(program, Decl)
         seen["loop"] += contains(program, While)
         seen["divergence"] += diverging
         # with no loop that can run forever, an empty row is a stuck assignment
         seen["stuck"] += not diverging and any(m == 0 for m in want.succ)
+        seen["declaration then more"] += declares_then_more(program)
+        seen["declaration then more in a loop body"] += any(map(declares_then_more, (w.body for w in loops(program))))
+        seen["head with several finals"] += any(m.bit_count() >= 2 for m in loop_rows)
     assert min(seen.values()) >= 10, seen
 
 
@@ -190,6 +226,22 @@ def test_overflow_and_out_of_domain_assignments_are_stuck():
             assert_same_reports(
                 program, parse_pred(pre, declared=VARS), parse_pred(post, declared=VARS), space
             )
+
+
+def test_a_declaration_after_which_every_outcome_aborts():
+    # the finals kept for each base are the empty tuple, in some bases or all
+    space = space_abc()
+    programs = [
+        "int a; b = b + 10;",
+        "int a; if (b > 2) b = b + 10; a = a + 1;",
+        "while (a < 3) { int c; a = a + c; }",
+    ]
+    for text in programs:
+        program = parse_program(text, predeclared=VARS)
+        assert denote(program, space) == relational_denote(program, space), text
+        for pre, post in (("true", "true"), ("b == 2", "a == 0")):
+            pre, post = parse_pred(pre, declared=VARS), parse_pred(post, declared=VARS)
+            assert_same_reports(program, pre, post, space, text)
 
 
 def test_the_smallest_bad_final_is_reported():
