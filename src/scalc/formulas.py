@@ -253,15 +253,7 @@ def binding_mask(b: Binding) -> int:
     n*n bits, bit i + j*n for the pair (i, j)."""
     if isinstance(b, PredSet):
         return b.mask
-    n, m = len(b.succ), 0
-    for i, row in enumerate(b.succ):
-        bit = 1 << i
-        while row:
-            if row & 1:
-                m |= bit
-            row >>= 1
-            bit <<= n
-    return m
+    return sum(1 << i + j * b.space.size for i, j in b.pairs())
 
 
 @lru_cache(maxsize=256)

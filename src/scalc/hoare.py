@@ -3,21 +3,22 @@
 A triple (P, S, Q) is totally correct when every P-state has at least one
 successor and all of its successors satisfy Q.  It is partially correct when
 every successor of every P-state satisfies Q (termination not required).
-Both are decided by direct enumeration, scanning initial states in index
-order so the reported counterexample is always the one with the smallest
-initial index (ties broken by smallest final index).
 
-`check_total`, `check_partial` and `wp` read a `Relation`; the law suite
-states them as S-formulas.  `verify` and `program_wp` read a program's one
-semantics, `semantics.successors`, row by row without a relation: `verify`
-only from the precondition's states, evaluating the postcondition only on
-the finals it reaches, and `program_wp` from every state once.
+Each question has one scan, which reads S through a function from an initial
+index to its finals in increasing order (`Rows`): a `Relation`'s `row`, or
+`semantics.successors` of a program.  `_decide` answers the triples: over P
+and a relation for `check_total`/`check_partial`, and for `verify` over the
+precondition's states only, evaluating Q only on the finals reached.  It
+scans initial states in index order, so the counterexample reported has the
+smallest initial index, then the smallest final index.  `_wp` reads every
+state's row once, for `wp` and `program_wp`.  The law suite states both
+questions as S-formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import SpaceMismatchError
 from .predicates import PredExpr, PredSet, compile_pred, pred_to_set
@@ -28,6 +29,8 @@ from .syntax import Stmt
 NO_SUCCESSOR = "NoSuccessor"
 BAD_SUCCESSOR = "BadSuccessor"
 PARTIAL_VIOLATION = "PartialViolation"
+
+Rows = Callable[[int], tuple[int, ...]]  # an initial index to its finals, ascending
 
 
 @dataclass(frozen=True)
@@ -52,41 +55,48 @@ class Verdict:
     stats: CheckStats
 
 
-def _require_compatible(p: PredSet, s: Relation, q: PredSet):
-    if p.size != s.space.size or q.size != s.space.size:
-        raise SpaceMismatchError(
-            f"precondition over {p.size} states, relation over {s.space.size}, "
-            f"postcondition over {q.size}"
-        )
+def _require_compatible(s: Relation, *sets: PredSet):
+    if any(x.size != s.space.size for x in sets):
+        raise SpaceMismatchError(f"relation over {s.space.size} states, sets over {[x.size for x in sets]}")
 
 
 def check_total(p: PredSet, s: Relation, q: PredSet) -> Verdict:
     """Every P-state must have a successor, and only Q-successors."""
-    return _check(p, s, q, "total")
+    _require_compatible(s, p, q)
+    return _decide(p.indices(), s.row, q.__contains__, "total", s.space)
 
 
 def check_partial(p: PredSet, s: Relation, q: PredSet) -> Verdict:
     """Successors of P-states must satisfy Q; successor-free states are fine."""
-    return _check(p, s, q, "partial")
+    _require_compatible(s, p, q)
+    return _decide(p.indices(), s.row, q.__contains__, "partial", s.space)
 
 
-def _check(p: PredSet, s: Relation, q: PredSet, mode: str) -> Verdict:
-    _require_compatible(p, s, q)
+def _decide(
+    initials: Iterable[int], finals_of: Rows, holds_post: Callable[[int], bool], mode: str, space: StateSpace
+) -> Verdict:
+    """The triple's verdict from the rows of `initials`, in increasing order;
+    the postcondition is evaluated once a final, on the finals reached."""
+    good: dict[int, bool] = {}  # post at each final reached so far
     states = 0
     pairs = 0
     cx = None
-    for i in p.indices():
+    for i in initials:
         states += 1
-        m = s.succ[i]
-        pairs += m.bit_count()
-        if not m and mode == "total":
-            cx = Counterexample(NO_SUCCESSOR, index_to_state(s.space, i), None, i, None)
+        finals = finals_of(i)
+        pairs += len(finals)
+        if not finals and mode == "total":
+            cx = Counterexample(NO_SUCCESSOR, index_to_state(space, i), None, i, None)
             break
-        bad = m & ~q.mask
-        if bad:
-            j = (bad & -bad).bit_length() - 1
-            kind = BAD_SUCCESSOR if mode == "total" else PARTIAL_VIOLATION
-            cx = Counterexample(kind, index_to_state(s.space, i), index_to_state(s.space, j), i, j)
+        for j in finals:
+            ok = good.get(j)
+            if ok is None:
+                ok = good[j] = holds_post(j)
+            if not ok:
+                kind = BAD_SUCCESSOR if mode == "total" else PARTIAL_VIOLATION
+                cx = Counterexample(kind, index_to_state(space, i), index_to_state(space, j), i, j)
+                break
+        if cx is not None:
             break
     return Verdict(cx is None, cx, CheckStats(states, pairs))
 
@@ -94,31 +104,28 @@ def _check(p: PredSet, s: Relation, q: PredSet, mode: str) -> Verdict:
 def wp(s: Relation, q: PredSet) -> PredSet:
     """Largest P with (P, s, q) totally correct: states with some successor
     and only q-successors."""
-    if q.size != s.space.size:
-        raise SpaceMismatchError(
-            f"postcondition over {q.size} states, relation over {s.space.size}"
-        )
-    mask = 0
-    for i, m in enumerate(s.succ):
-        if m and m & ~q.mask == 0:
-            mask |= 1 << i
-    return PredSet(q.size, mask)
+    _require_compatible(s, q)
+    return _wp(s.row, q)
 
 
 def program_wp(program: Stmt, post: PredExpr, space: StateSpace) -> PredSet:
-    """wp(program, post) read one row of the program at a time: the states
-    with some successor and only post-successors.  The same set as `wp`
-    over `denote(program, space)`, without tabulating the relation."""
-    good = bytearray(space.size)
-    for j in pred_to_set(post, space).indices():
+    """wp(program, post) read one row of the program at a time: the same set
+    as `wp` over `denote(program, space)`, without tabulating the relation."""
+    q = pred_to_set(post, space)
+    return _wp(successors(program, space), q)
+
+
+def _wp(finals_of: Rows, q: PredSet) -> PredSet:
+    """The states, over q's space, with some final and only finals in q."""
+    good = bytearray(q.size)
+    for j in q.indices():
         good[j] = 1
-    finals_of = successors(program, space)
-    member = bytearray(b"0") * space.size
-    for i in range(space.size):
+    member = bytearray(b"0") * q.size
+    for i in range(q.size):
         finals = finals_of(i)
         if finals and all(map(good.__getitem__, finals)):
             member[i] = ord("1")
-    return PredSet(space.size, int(member[::-1], 2))
+    return PredSet(q.size, int(member[::-1], 2))
 
 
 @dataclass(frozen=True)
@@ -155,28 +162,5 @@ def verify(program: Stmt, pre: PredExpr, post: PredExpr, mode: str, space: State
     `denote(program, space)`, exploring only from the precondition's states."""
     if mode not in ("total", "partial"):
         raise ValueError(f"mode must be 'total' or 'partial', got {mode!r}")
-    p = pred_to_set(pre, space)
-    finals_of = successors(program, space)
-    holds_post = compile_pred(post, space)
-    good: dict[int, bool] = {}  # post at each final reached so far
-    states = 0
-    pairs = 0
-    cx = None
-    for i in p.indices():
-        states += 1
-        finals = finals_of(i)
-        pairs += len(finals)
-        if not finals and mode == "total":
-            cx = Counterexample(NO_SUCCESSOR, index_to_state(space, i), None, i, None)
-            break
-        for j in finals:
-            ok = good.get(j)
-            if ok is None:
-                ok = good[j] = holds_post(j)
-            if not ok:
-                kind = BAD_SUCCESSOR if mode == "total" else PARTIAL_VIOLATION
-                cx = Counterexample(kind, index_to_state(space, i), index_to_state(space, j), i, j)
-                break
-        if cx is not None:
-            break
-    return Report(mode, Verdict(cx is None, cx, CheckStats(states, pairs)))
+    initials = pred_to_set(pre, space).indices()
+    return Report(mode, _decide(initials, successors(program, space), compile_pred(post, space), mode, space))

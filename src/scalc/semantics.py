@@ -29,7 +29,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .predicates import UNDEFINED, compile_arith, compile_pred
+from .predicates import UNDEFINED, PredSet, compile_arith, compile_pred
 from .state_space import StateSpace
 from .syntax import (
     Assign,
@@ -61,13 +61,15 @@ class Relation:
     def has_pair(self, i: int, j: int) -> bool:
         return bool(self.succ[i] >> j & 1)
 
+    def row(self, i: int) -> tuple[int, ...]:
+        """The finals of initial state i, in increasing order."""
+        return tuple(PredSet(self.space.size, self.succ[i]).indices())
+
     def pairs(self) -> Iterator[tuple[int, int]]:
         """All (initial, final) pairs, ordered by initial then final index."""
-        for i, m in enumerate(self.succ):
-            while m:
-                low = m & -m
-                yield i, low.bit_length() - 1
-                m ^= low
+        for i in range(self.space.size):
+            for j in self.row(i):
+                yield i, j
 
     def pair_count(self) -> int:
         return sum(m.bit_count() for m in self.succ)

@@ -427,9 +427,10 @@ class _Parser:
         op = PREFIX.get(tok.text)
         if op is not None and op.level >= min_level:
             self.advance()
+            literal = self.peek().kind == "int"
             inner, height = self.below(self.expr, op.level)
-            if op.node is Neg and isinstance(inner, Const):
-                # Fold so a negative literal prints back as itself.
+            if op.node is Neg and literal:
+                # only a minus directly on a literal folds: `-(k)` stays Neg
                 return Const(-inner.value, span=tok.span), height + 1
             return op.node(inner, span=tok.span), height + 1
         if min_level <= CMP_LEVEL:

@@ -3,7 +3,19 @@ import random
 import pytest
 
 from scalc.errors import SpaceMismatchError
-from scalc.hoare import check_partial, check_total, program_wp, verify, wp
+from scalc.hoare import (
+    BAD_SUCCESSOR,
+    NO_SUCCESSOR,
+    PARTIAL_VIOLATION,
+    CheckStats,
+    Counterexample,
+    Verdict,
+    check_partial,
+    check_total,
+    program_wp,
+    verify,
+    wp,
+)
 from scalc.predicates import PredSet, pred_to_set
 from scalc.semantics import (
     Relation,
@@ -13,8 +25,46 @@ from scalc.semantics import (
     identity_relation,
     relation_from_pairs,
 )
-from scalc.state_space import Domain, VarUniverse, build_space, int_range_domain
+from scalc.state_space import Domain, VarUniverse, build_space, index_to_state, int_range_domain
 from scalc.syntax import parse_pred, parse_program
+
+
+# ---------------------------------------------------------------------------
+# The oracles: the checks and wp as they read a relation's bitmask rows
+# before every question became one scan over rows of finals.  They stay
+# independent of `hoare`'s scans, which `verify` and `program_wp` share.
+
+
+def reference_verdict(p: PredSet, s: Relation, q: PredSet, mode: str) -> Verdict:
+    """The verdict of (p, s, q) in `mode`, "total" or "partial"."""
+    states = 0
+    pairs = 0
+    cx = None
+    for i in range(s.space.size):
+        if not p.mask >> i & 1:
+            continue
+        states += 1
+        m = s.succ[i]
+        pairs += m.bit_count()
+        if not m and mode == "total":
+            cx = Counterexample(NO_SUCCESSOR, index_to_state(s.space, i), None, i, None)
+            break
+        bad = m & ~q.mask
+        if bad:
+            j = (bad & -bad).bit_length() - 1
+            kind = BAD_SUCCESSOR if mode == "total" else PARTIAL_VIOLATION
+            cx = Counterexample(kind, index_to_state(s.space, i), index_to_state(s.space, j), i, j)
+            break
+    return Verdict(cx is None, cx, CheckStats(states, pairs))
+
+
+def reference_wp(s: Relation, q: PredSet) -> PredSet:
+    """The states with some successor and only q-successors."""
+    mask = 0
+    for i, m in enumerate(s.succ):
+        if m and m & ~q.mask == 0:
+            mask |= 1 << i
+    return PredSet(q.size, mask)
 
 
 def tiny_space(size):
@@ -31,8 +81,35 @@ def random_rel(space, rng):
     )
 
 
+def random_bits(size, rng):
+    """Empty, full or random bits, each about a third of the draws."""
+    return rng.choice((0, (1 << size) - 1, rng.getrandbits(size)))
+
+
 def random_set(size, rng):
     return PredSet(size, rng.getrandbits(size))
+
+
+class TestAgainstTheReferences:
+    def test_checks_and_wp_read_what_the_bitmask_rows_say(self):
+        rng = random.Random(0x5CA4)
+        seen = {"empty row": 0, "full row": 0, "several bad": 0, "holds": 0, "no successor": 0, "bad successor": 0}
+        for trial in range(400):
+            sp = tiny_space(rng.randint(1, 8))
+            s = Relation(sp, tuple(random_bits(sp.size, rng) for _ in range(sp.size)))
+            p, q = PredSet(sp.size, random_bits(sp.size, rng)), PredSet(sp.size, random_bits(sp.size, rng))
+            for mode, check in (("total", check_total), ("partial", check_partial)):
+                got = check(p, s, q)
+                assert got == reference_verdict(p, s, q, mode), (trial, mode, s, p, q)
+                if got.counterexample is not None:
+                    seen["no successor" if got.counterexample.final_index is None else "bad successor"] += 1
+            assert wp(s, q) == reference_wp(s, q), (trial, s, q)
+            rows = [s.succ[i] for i in p.indices()]
+            seen["empty row"] += 0 in rows
+            seen["full row"] += (1 << sp.size) - 1 in rows
+            seen["several bad"] += any((m & ~q.mask).bit_count() >= 2 for m in rows)
+            seen["holds"] += check_total(p, s, q).holds
+        assert min(seen.values()) >= 10, seen
 
 
 class TestCheckTotal:

@@ -281,10 +281,7 @@ def random_arith(rng, vars_, depth):
         return Const(rng.randrange(-20, 100))
     kind = rng.randrange(4)
     if kind == 3:
-        inner = random_arith(rng, vars_, depth - 1)
-        # the parser folds a minus sign on a literal into the constant, so
-        # Neg(Const) is not reachable from source text
-        return Const(-inner.value) if isinstance(inner, Const) else Neg(inner)
+        return Neg(random_arith(rng, vars_, depth - 1))
     ctor = (Add, Sub, Mul)[kind]
     return ctor(random_arith(rng, vars_, depth - 1), random_arith(rng, vars_, depth - 1))
 
@@ -355,14 +352,20 @@ def test_round_trip_random_predicates():
         assert parse_pred(expr_to_str(p), declared=("a", "b")) == p
 
 
-@pytest.mark.parametrize("k", [-5, 0, 5, INT64_MIN, INT64_MAX])
+@pytest.mark.parametrize("k", [-5, 0, 5, INT64_MIN, INT64_MAX, 2**63])
 def test_a_minus_over_a_literal_prints_as_text_that_parses(k):
-    # the parser folds `-(k)` into Const(-k), so the tree differs but the
-    # value at every state is the same, UNDEFINED included
+    # up to three minus signs over a literal, alone and under `+`: the text
+    # reads back as the same tree, whose value can be UNDEFINED at the literal
+    # (2**63) or at an inner negation (INT64_MIN)
     space = build_space(VarUniverse((("x", int_range_domain("x", -2, 2)),)))
-    for e in (Neg(Const(k)), Add(Var("x"), Neg(Const(k)))):
+    tower = [Const(k)]
+    while len(tower) < 4:
+        tower.append(Neg(tower[-1]))
+    for e in (*tower, *(Add(Var("x"), t) for t in tower)):
         text = expr_to_str(e)
-        want, got = compile_arith(e, space), compile_arith(parse_arith(text, declared=("x",)), space)
+        back = parse_arith(text, declared=("x",))
+        assert back == e, text
+        want, got = compile_arith(e, space), compile_arith(back, space)
         assert [got(i) for i in range(space.size)] == [want(i) for i in range(space.size)], text
     assert expr_to_str(Neg(Const(k))) == f"-({k})"
 

@@ -2,8 +2,8 @@
 `denote`, `program_wp` and `dump-relation` read the same forward semantics
 for every state.  The relational path they replaced stays here as the
 oracle: the relational semantics of `test_semantics.relational_denote`,
-then `check_total`/`check_partial` or `wp` over that relation, with P and Q
-evaluated state by state.  `verify` must print the same report: verdict,
+then `test_hoare.reference_verdict` or `reference_wp` over that relation's
+bitmask rows, with P and Q evaluated state by state.  `verify` must print the same report: verdict,
 counterexample and stats; `denote` must build the same relation, and
 `program_wp` the same set."""
 
@@ -15,13 +15,14 @@ from pathlib import Path
 import pytest
 
 from scalc.cli import main
-from scalc.hoare import Report, check_partial, check_total, program_wp, verify, wp
+from scalc.hoare import Report, program_wp, verify
 from scalc.predicates import BoolConst, Cmp, Const, Mul, Var
 from scalc.semantics import denote, successors
 from scalc.specfile import load_task
 from scalc.state_space import Domain, VarUniverse, build_space, int_range_domain
 from scalc.syntax import Assign, Decl, Seq, Stmt, While, parse_pred, parse_program, pretty_print, statements
 
+from test_hoare import reference_verdict, reference_wp
 from test_predicates import pointwise_pred_to_set
 from test_semantics import relational_denote
 from test_syntax import flatten_seq, random_cond, random_stmt, seq_of
@@ -48,8 +49,8 @@ def assert_same_reports(program, pre, post, space, label=""):
     """verify against the oracle in both modes; returns the oracle's inputs."""
     relation = relational_denote(program, space)
     p, q = pointwise_pred_to_set(pre, space), pointwise_pred_to_set(post, space)
-    for mode, check in (("total", check_total), ("partial", check_partial)):
-        want = Report(mode, check(p, relation, q))
+    for mode in ("total", "partial"):
+        want = Report(mode, reference_verdict(p, relation, q, mode))
         got = verify(program, pre, post, mode, space)
         context = f"{label} {mode}:\n{pretty_print(program)}"
         assert got.to_json_dict() == want.to_json_dict(), context
@@ -79,7 +80,7 @@ def test_random_programs_match_the_relational_check():
         seen["loop"] += contains(program, While)
         seen["stuck"] += any(m == 0 for m in rows)
         seen["several bad"] += any((m & ~q.mask).bit_count() >= 2 for m in rows)
-        seen["holds" if check_partial(p, relation, q).holds else "fails"] += 1
+        seen["holds" if reference_verdict(p, relation, q, "partial").holds else "fails"] += 1
     assert min(seen.values()) >= 10, seen
 
 
@@ -172,7 +173,7 @@ def test_streamed_wp_is_wp_of_the_relational_denotation():
         program = random_stmt(rng, VARS, rng.randrange(1, 5))
         post = BoolConst(True) if rng.random() < 0.1 else random_cond(rng, VARS, 2)
         relation = relational_denote(program, space)
-        want = wp(relation, pointwise_pred_to_set(post, space))
+        want = reference_wp(relation, pointwise_pred_to_set(post, space))
         assert program_wp(program, post, space) == want, f"trial {trial}:\n{pretty_print(program)}"
         diverging = any(diverges(loop, space) for loop in loops(program))
         seen["havoc"] += contains(program, Decl)
