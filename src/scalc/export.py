@@ -77,10 +77,9 @@ def _smt_int(n: int) -> str:
 
 
 class _Encoder:
-    def __init__(self, variables, unroll: int, allow_partial_unroll: bool):
+    def __init__(self, variables, unroll: int):
         self.types = dict(variables)
         self.unroll = unroll
-        self.allow_partial_unroll = allow_partial_unroll
         self.counters: dict[str, int] = {}
         self.env: dict[str, str] = {}
         self.decls: list[str] = []
@@ -135,11 +134,8 @@ class _Encoder:
             self.env[s.var] = sym
             return
         if isinstance(s, Seq):
-            # the parts run in a loop, so that a long program fits the stack
-            while isinstance(s, Seq):
-                self.stmt(s.first, path)
-                s = s.second
-            self.stmt(s, path)
+            for part in s.parts:
+                self.stmt(part, path)
             return
         if isinstance(s, IfThenElse):
             self._branch(s.cond, s.then_branch, s.else_branch, path)
@@ -173,10 +169,6 @@ class _Encoder:
         self.env = merged
 
     def _loop(self, s: While, path: str):
-        if not self.allow_partial_unroll:
-            raise UnsupportedForExportError(
-                "program contains a loop; bounded expansion must be requested explicitly"
-            )
         for _ in range(self.unroll):
             self._branch(s.cond, s.body, Nop(), path)
         guard = self.expr(s.cond)
@@ -195,15 +187,13 @@ def _conj(a: str, b: str) -> str:
 def _expanded_size(s: Stmt, unroll: int) -> int:
     """Statements the encoder emits for `s`: each loop `unroll` guarded
     copies of its body, and so on for the loops inside them."""
-    n = 0
-    while isinstance(s, Seq):  # a loop, so that a long program fits the stack
-        n += _expanded_size(s.first, unroll)
-        s = s.second
+    if isinstance(s, Seq):
+        return sum(_expanded_size(part, unroll) for part in s.parts)
     if isinstance(s, IfThenElse):
-        return n + 1 + _expanded_size(s.then_branch, unroll) + _expanded_size(s.else_branch, unroll)
+        return 1 + _expanded_size(s.then_branch, unroll) + _expanded_size(s.else_branch, unroll)
     if isinstance(s, While):
-        return n + 1 + unroll * (1 + _expanded_size(s.body, unroll))
-    return n + 1
+        return 1 + unroll * (1 + _expanded_size(s.body, unroll))
+    return 1
 
 
 def select_logic(program: Stmt, pre: PredExpr, post: PredExpr) -> str:
@@ -245,7 +235,11 @@ def export_vc(
     if unroll < 0:
         raise ValueError("unroll bound must be nonnegative")
     has_loop = any(isinstance(s, While) for s in statements(program))
-    if has_loop and allow_partial_unroll and _expanded_size(program, unroll) > MAX_EXPANDED_STATEMENTS:
+    if has_loop and not allow_partial_unroll:
+        raise UnsupportedForExportError(
+            "program contains a loop; bounded expansion must be requested explicitly"
+        )
+    if has_loop and _expanded_size(program, unroll) > MAX_EXPANDED_STATEMENTS:
         raise UnsupportedForExportError(
             f"expanding every loop {unroll} times emits more than "
             f"{MAX_EXPANDED_STATEMENTS} statements; lower the unroll bound"
@@ -258,7 +252,7 @@ def export_vc(
             all_vars.append((name, type_name))
             known.add(name)
 
-    enc = _Encoder(tuple(all_vars), unroll, allow_partial_unroll)
+    enc = _Encoder(tuple(all_vars), unroll)
     pre_smt = enc.expr(pre)
     enc.conjuncts.append(pre_smt)
     enc.stmt(program, "true")

@@ -353,21 +353,13 @@ class PredSet:
 
     def indices(self) -> Iterator[int]:
         """Member indices in increasing order."""
-        m = self.mask
-        if m.bit_length() > 64:
-            # one pass over the binary digits, lowest first: peeling bits
-            # off a large mask would copy the whole int for every member
-            digits = bin(m)[:1:-1]
-            i = digits.find("1")
-            while i >= 0:
-                yield i
-                i = digits.find("1", i + 1)
-            return
-        # on the law suite's masks of a few bits, peeling costs half as much
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        # one pass over the binary digits, lowest first: peeling bits off a
+        # large mask would copy the whole int for every member
+        digits = bin(self.mask)[:1:-1]
+        i = digits.find("1")
+        while i >= 0:
+            yield i
+            i = digits.find("1", i + 1)
 
 
 def pred_to_set(p: PredExpr, space: StateSpace) -> PredSet:

@@ -119,9 +119,9 @@ def successors(stmt: Stmt, space: StateSpace) -> Callable[[int], tuple[int, ...]
     the value of `expr`, or nowhere when that value is UNDEFINED or outside
     the domain of `var`; a declaration of `var` moves to every state that
     differs at most in `var`; a branch takes the rows of the arm its guard
-    selects; a sequence takes the finals of the second part from every
-    final of the first; a loop takes the least finals described in the
-    module docstring (see `_solve_loop`).
+    selects; a sequence runs each part from every final of the part before;
+    a loop takes the least finals described in the module docstring (see
+    `_solve_loop`).
 
     Each node is evaluated only on the states that reach it.  Two kinds of
     table outlive a call.  A declaration and the statements after it, up to
@@ -182,12 +182,9 @@ def successors(stmt: Stmt, space: StateSpace) -> Callable[[int], tuple[int, ...]
 
             return assign
         if isinstance(s, Seq):
-            # the parts of a sequence run in a loop, not nested calls, so
-            # that a long program does not exhaust the interpreter's stack;
-            # each declaration starts a part of its own (see `after_decl`)
+            # each declaration starts a group of its own (see `after_decl`)
             groups: list[list] = [[]]
-            while s is not None:
-                part, s = (s.first, s.second) if isinstance(s, Seq) else (s, None)
+            for part in s.parts:
                 if isinstance(part, Decl):
                     groups.append([part])
                 else:

@@ -19,11 +19,12 @@ Expressions are read by precedence climbing over `predicates.OPERATORS`,
 which gives each operator's token, level and grouping; `expr_to_str` prints
 them back from the same table.  "//" starts a comment that runs to end of
 line.  Compound assignments and the increment forms are desugared during
-parsing, so the AST only has plain assignment.  Blocks fold into right-nested sequencing and leave no node of
-their own.  "else" attaches to the nearest "if".  A one-armed `if (p) s` is
-`IfThenElse(p, s, Nop())` whose else arm is a span-less `Nop`; an explicit
-`else ;` or `else {}` gives a `Nop` with a span, so each prints back as
-written.
+parsing, so the AST only has plain assignment.  Sequencing is associative:
+blocks fold into one flat `Seq` of the statements they hold and leave no
+node of their own.  "else" attaches to the nearest "if".  A one-armed
+`if (p) s` is `IfThenElse(p, s, Nop())` whose else arm is a span-less
+`Nop`; an explicit `else ;` or `else {}` gives a `Nop` with a span, so
+each prints back as written.
 
 Every variable reference must be preceded by a declaration (or appear in the
 set of predeclared names handed to the parser); there is no block scoping,
@@ -100,9 +101,7 @@ class Assign(Stmt):
 
 @dataclass(frozen=True)
 class Seq(Stmt):
-    first: Stmt
-    second: Stmt
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    parts: tuple[Stmt, ...]
 
 
 @dataclass(frozen=True)
@@ -121,29 +120,27 @@ class While(Stmt):
 
 
 def seq_of(stmts: list[Stmt]) -> Stmt:
-    """Right-nested sequence; empty list collapses to a no-op."""
-    if not stmts:
+    """The sequence of `stmts`, with the parts of any `Seq` among them
+    spliced in: none gives `Nop()`, and one gives itself."""
+    parts = tuple(p for s in stmts for p in (s.parts if isinstance(s, Seq) else (s,)))
+    if not parts:
         return Nop()
-    out = stmts[-1]
-    for s in reversed(stmts[:-1]):
-        out = Seq(s, out)
-    return out
+    return parts[0] if len(parts) == 1 else Seq(parts)
 
 
 def statements(stmt: Stmt) -> Iterator[Stmt]:
     """Every statement node of `stmt`, itself first, in textual order."""
-    # an explicit stack, not recursion, so that a long program does not
-    # exhaust the interpreter's stack; children go on it last part first
-    stack = [stmt]
-    while stack:
-        s = stack.pop()
-        yield s
-        if isinstance(s, Seq):
-            stack += (s.second, s.first)
-        elif isinstance(s, IfThenElse):
-            stack += (s.else_branch, s.then_branch)
-        elif isinstance(s, While):
-            stack.append(s.body)
+    yield stmt
+    if isinstance(stmt, Seq):
+        children = stmt.parts
+    elif isinstance(stmt, IfThenElse):
+        children = (stmt.then_branch, stmt.else_branch)
+    elif isinstance(stmt, While):
+        children = (stmt.body,)
+    else:
+        return
+    for child in children:
+        yield from statements(child)
 
 
 def declared_vars(stmt: Stmt) -> list[tuple[str, str]]:
@@ -294,17 +291,8 @@ class _Parser:
     def program(self) -> Stmt:
         stmts: list[Stmt] = []
         while self.peek().kind != "eof":
-            self.stmt_into(stmts)
+            stmts.append(self.stmt())
         return seq_of(stmts)
-
-    def stmt_into(self, out: list[Stmt]):
-        """Parse one source statement; an initialized declaration contributes
-        two flat AST statements (the declaration, then the assignment)."""
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text in ("int", "bool"):
-            out.extend(self.decl_parts())
-        else:
-            out.append(self.stmt())
 
     def stmt(self) -> Stmt:
         tok = self.peek()
@@ -378,7 +366,7 @@ class _Parser:
         while not self.at("}"):
             if self.peek().kind == "eof":
                 self.fail("unterminated block")
-            self.below(self.stmt_into, stmts)
+            stmts.append(self.below(self.stmt))
         end = self.expect("}")
         out = seq_of(stmts)
         if isinstance(out, Nop) and out.span is None:
@@ -537,10 +525,8 @@ def _stmt_lines(s: Stmt, indent: int, lines: list[str]):
     elif isinstance(s, Assign):
         lines.append(f"{pad}{s.var} = {expr_to_str(s.expr)};")
     elif isinstance(s, Seq):
-        while isinstance(s, Seq):  # a loop, so that a long program fits the stack
-            _stmt_lines(s.first, indent, lines)
-            s = s.second
-        _stmt_lines(s, indent, lines)
+        for part in s.parts:
+            _stmt_lines(part, indent, lines)
     elif isinstance(s, (IfThenElse, While)):
         if isinstance(s, While):
             head, body = f"while ({expr_to_str(s.cond)})", s.body

@@ -157,7 +157,7 @@ def test_criterion_6_loop_denotation_is_the_unrolling_fixpoint():
         body = relation_stmt(relation)
         loop = While(b, body)
         w = denote(loop, space)
-        unrolled = denote(IfThenElse(b, Seq(body, loop), Nop()), space)
+        unrolled = denote(IfThenElse(b, Seq((body, loop)), Nop()), space)
         if denote(body, space) != relation or list(w.pairs()) != list(unrolled.pairs()):
             mismatches += 1
     _report(

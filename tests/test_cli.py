@@ -13,7 +13,7 @@ from scalc.cli import main
 from scalc.export import MAX_EXPANDED_STATEMENTS
 from scalc.laws import DEFAULT_SEED, LAWS, check_law
 from scalc.specfile import load_task
-from scalc.syntax import MAX_NESTING, expr_to_str, pretty_print
+from scalc.syntax import MAX_NESTING, Seq, expr_to_str, parse_program, pretty_print
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -262,20 +262,26 @@ class TestDumpRelation:
         assert out == ""
 
 
+LONG_STEPS = ("a = a + 1;", "int b;", "a = a - 1;", "if (b > 1) a = a + b - b;")
+
+
 class TestLongProgram:
     """A program far longer than the interpreter's recursion limit."""
 
+    TEXT = "\n".join(LONG_STEPS[k % len(LONG_STEPS)] for k in range(1200))
+
     @pytest.fixture
     def long_spec(self, tmp_path):
-        steps = ("a = a + 1;", "int b;", "a = a - 1;", "if (b > 1) a = a + b - b;")
-        lines = [steps[k % len(steps)] for k in range(1200)]
         spec = tmp_path / "long.spec"
         spec.write_text(
-            "[vars]\na: int 0..7\nb: int 0..3\n[program]\n"
-            + "\n".join(lines)
-            + "\n[pre]\na < 7\n[post]\na < 7\n"
+            "[vars]\na: int 0..7\nb: int 0..3\n[program]\n" + self.TEXT + "\n[pre]\na < 7\n[post]\na < 7\n"
         )
         return str(spec)
+
+    def test_parses_to_one_sequence_that_prints_back(self):
+        ast = parse_program(self.TEXT, predeclared=("a", "b"))
+        assert isinstance(ast, Seq) and len(ast.parts) == 1200
+        assert parse_program(pretty_print(ast), predeclared=("a", "b")) == ast
 
     @pytest.mark.parametrize("command", ["verify", "wp", "dump-relation", "export-smt"])
     def test_runs_without_a_traceback(self, capsys, long_spec, command):

@@ -465,7 +465,7 @@ class TestAgreementWithFiniteVerifier:
             return Assign(rng.choice(self.VARS), self._arith(rng, True))
         r = rng.random()
         if r < 0.35:
-            return Seq(self._stmt(rng, depth - 1), self._stmt(rng, depth - 1))
+            return Seq((self._stmt(rng, depth - 1), self._stmt(rng, depth - 1)))
         if r < 0.6:
             return IfThenElse(self._cond(rng), self._stmt(rng, depth - 1), Nop())
         if r < 0.9:

@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 
@@ -148,7 +149,7 @@ def relational_denote(stmt: Stmt, space) -> Relation:
     if isinstance(stmt, Assign):
         return relational_assign(stmt.var, stmt.expr, space)
     if isinstance(stmt, Seq):
-        return relational_seq(relational_denote(stmt.first, space), relational_denote(stmt.second, space))
+        return functools.reduce(relational_seq, (relational_denote(part, space) for part in stmt.parts))
     if isinstance(stmt, IfThenElse):
         return relational_ite(
             stmt.cond,
@@ -179,7 +180,7 @@ def relation_stmt(relation: Relation) -> Stmt:
         row = arms[0] if arms else BoolConst(False)
         for arm in arms[1:]:
             row = Or(row, arm)
-        body = Seq(Decl(var, "int"), IfThenElse(Not(row), Assign(var, outside), Nop()))
+        body = Seq((Decl(var, "int"), IfThenElse(Not(row), Assign(var, outside), Nop())))
         out = IfThenElse(Cmp("==", Var(var), Const(dom.values[i])), body, out)
     return out
 
@@ -382,7 +383,7 @@ class TestSeq:
         sp = space_a3()
         r1 = relation_from_pairs(sp, [(0, 1), (0, 2)])
         r2 = relation_from_pairs(sp, [(1, 0), (2, 2)])
-        r = denote(Seq(relation_stmt(r1), relation_stmt(r2)), sp)
+        r = denote(Seq((relation_stmt(r1), relation_stmt(r2))), sp)
         assert list(r.pairs()) == [(0, 0), (0, 2)]
 
 
@@ -458,7 +459,7 @@ class TestWhile:
             b = Cmp(rng.choice(("<", "<=", "==", "!=")), Var("a"), Const(rng.randrange(5)))
             body = relation_stmt(random_rel(sp, rng))
             loop = While(b, body)
-            assert denote(loop, sp) == denote(IfThenElse(b, Seq(body, loop), Nop()), sp)
+            assert denote(loop, sp) == denote(IfThenElse(b, Seq((body, loop)), Nop()), sp)
 
 
 class TestDenoteDispatch:
@@ -573,7 +574,7 @@ def test_the_branch_after_a_declaration_runs_once_a_state(monkeypatch):
     # state and value of t
     program, _, _ = family_task("havoc")
     space = int_space((("x", 0, 15), ("y", 0, 20), ("t", 0, 5)))
-    branch = program.second.first
+    branch = program.parts[1]
     assert isinstance(branch, IfThenElse)
     calls = []
 

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from scalc.predicates import (
     Var,
     compile_arith,
 )
+from scalc.specfile import load_task
 from scalc.state_space import VarUniverse, build_space, int_range_domain
 from scalc.syntax import (
     MAX_NESTING,
@@ -37,23 +39,26 @@ from scalc.syntax import (
     expr_to_str,
     pretty_print,
     seq_of,
+    statements,
     tokenize,
 )
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 class TestParsePrograms:
     def test_branching_example(self):
         ast = parse_program("int a=5; if (a > 0) a=10; else a=100;")
         assert ast == Seq(
-            Decl("a", "int"),
-            Seq(
+            (
+                Decl("a", "int"),
                 Assign("a", Const(5)),
                 IfThenElse(
                     Cmp(">", Var("a"), Const(0)),
                     Assign("a", Const(10)),
                     Assign("a", Const(100)),
                 ),
-            ),
+            )
         )
 
     def test_loop_example(self):
@@ -63,8 +68,10 @@ class TestParsePrograms:
         assert ast == While(
             Cmp("<=", Var("i"), Var("n")),
             Seq(
-                Assign("f", Mul(Var("f"), Var("i"))),
-                Assign("i", Add(Var("i"), Const(1))),
+                (
+                    Assign("f", Mul(Var("f"), Var("i"))),
+                    Assign("i", Add(Var("i"), Const(1))),
+                )
             ),
         )
 
@@ -102,11 +109,9 @@ class TestParsePrograms:
             "while (i <= n) { f = f*i; i = i+1; }", predeclared=("i", "n", "f")
         )
 
-    def test_sequences_right_nest(self):
+    def test_sequences_are_flat(self):
         ast = parse_program("a = 1; a = 2; a = 3;", predeclared=("a",))
-        assert ast == Seq(
-            Assign("a", Const(1)), Seq(Assign("a", Const(2)), Assign("a", Const(3)))
-        )
+        assert ast == Seq((Assign("a", Const(1)), Assign("a", Const(2)), Assign("a", Const(3))))
 
     def test_blocks_fold_into_sequence(self):
         flat = parse_program("a = 1; a = 2;", predeclared=("a",))
@@ -127,14 +132,12 @@ class TestParsePrograms:
 
     def test_declaration_with_initializer_splices_flat(self):
         ast = parse_program("int a = 5; a = 6;")
-        assert ast == Seq(
-            Decl("a", "int"), Seq(Assign("a", Const(5)), Assign("a", Const(6)))
-        )
+        assert ast == Seq((Decl("a", "int"), Assign("a", Const(5)), Assign("a", Const(6))))
 
     def test_initialized_declaration_as_branch_body(self):
         ast = parse_program("if (x > 0) int y = 1;", predeclared=("x",))
         assert ast == IfThenElse(
-            Cmp(">", Var("x"), Const(0)), Seq(Decl("y", "int"), Assign("y", Const(1))), Nop()
+            Cmp(">", Var("x"), Const(0)), Seq((Decl("y", "int"), Assign("y", Const(1)))), Nop()
         )
 
     def test_comments_ignored(self):
@@ -299,12 +302,6 @@ def random_cond(rng, vars_, depth):
     return ctor(random_cond(rng, vars_, depth - 1), random_cond(rng, vars_, depth - 1))
 
 
-def flatten_seq(st):
-    if isinstance(st, Seq):
-        return flatten_seq(st.first) + flatten_seq(st.second)
-    return [st]
-
-
 def random_stmt(rng, vars_, depth):
     if depth == 0:
         choices = ("nop", "assign", "decl")
@@ -318,12 +315,7 @@ def random_stmt(rng, vars_, depth):
     if kind == "decl":
         return Decl(rng.choice(vars_), rng.choice(("int", "bool")))
     if kind == "seq":
-        # the parser only ever builds right-nested sequence spines, so keep
-        # generated sequences in that shape too
-        parts = []
-        for _ in range(rng.randrange(2, 4)):
-            parts.extend(flatten_seq(random_stmt(rng, vars_, depth - 1)))
-        return seq_of(parts)
+        return seq_of([random_stmt(rng, vars_, depth - 1) for _ in range(rng.randrange(2, 4))])
     if kind == "if":
         return IfThenElse(random_cond(rng, vars_, 2), random_stmt(rng, vars_, depth - 1), Nop())
     if kind == "ite":
@@ -343,6 +335,37 @@ def test_round_trip_500_random_programs():
         text = pretty_print(ast)
         again = parse_program(text, predeclared=vars_)
         assert again == ast, f"trial {trial}:\n{text}"
+
+
+def test_every_sequence_is_flat():
+    """Every `Seq` the parser or `seq_of` builds has two or more parts, and
+    none of them is a `Seq`."""
+
+    def assert_flat(ast, context):
+        for s in statements(ast):
+            if isinstance(s, Seq):
+                assert len(s.parts) >= 2 and not any(isinstance(p, Seq) for p in s.parts), context
+
+    programs = [(load_task(str(spec)).program, spec.name) for spec in sorted(SPECS.glob("*.spec"))]
+    assert len(programs) >= 7
+    rng = random.Random(0xF1A7)
+    vars_ = ("a", "b", "c")
+    for trial in range(500):
+        text = pretty_print(random_stmt(rng, vars_, rng.randrange(1, 7)))
+        programs.append((parse_program(text, predeclared=vars_), f"trial {trial}:\n{text}"))
+    for ast, context in programs:
+        assert_flat(ast, context)
+
+    a1, a2, a3 = (Assign("a", Const(k)) for k in (1, 2, 3))
+    flat = Seq((a1, a2, a3))
+    for text in ("{ { a = 1; a = 2; } a = 3; }", "{ a = 1; { a = 2; a = 3; } }", "a = 1; a = 2; a = 3;"):
+        assert parse_program(text, predeclared=("a",)) == flat, text
+
+    assert seq_of([]) == Nop()
+    assert seq_of([a1]) is a1
+    assert seq_of([Nop()]) == Nop()
+    assert seq_of([Seq((a1, a2)), a3, Seq((a2, a1))]) == Seq((a1, a2, a3, a2, a1))
+    assert seq_of([a1, Nop(), Seq((Nop(), a2))]) == Seq((a1, Nop(), Nop(), a2))
 
 
 def test_round_trip_random_predicates():

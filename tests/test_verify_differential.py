@@ -25,7 +25,7 @@ from scalc.syntax import Assign, Decl, Seq, Stmt, While, parse_pred, parse_progr
 from test_hoare import reference_verdict, reference_wp
 from test_predicates import pointwise_pred_to_set
 from test_semantics import relational_denote
-from test_syntax import flatten_seq, random_cond, random_stmt, seq_of
+from test_syntax import random_cond, random_stmt, seq_of
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
 VARS = ("a", "b", "c")
@@ -108,14 +108,16 @@ def loops(stmt: Stmt):
 def declares_then_more(stmt: Stmt) -> bool:
     """Whether a declaration is followed by another statement of its
     sequence: where `successors` keeps its finals by base."""
-    return any(isinstance(s, Seq) and isinstance(s.first, Decl) for s in statements(stmt))
+    return any(
+        isinstance(s, Seq) and any(isinstance(part, Decl) for part in s.parts[:-1]) for s in statements(stmt)
+    )
 
 
 def loop_declaring_then_more(rng) -> While:
     """`while (p) { T v; s }`: the heads that go round again leave with
     any of several values of v."""
-    rest = flatten_seq(random_stmt(rng, VARS, rng.randrange(0, 2)))
-    return While(random_cond(rng, VARS, 2), seq_of([Decl(rng.choice(VARS), "int"), *rest]))
+    rest = random_stmt(rng, VARS, rng.randrange(0, 2))
+    return While(random_cond(rng, VARS, 2), seq_of([Decl(rng.choice(VARS), "int"), rest]))
 
 
 def test_denote_is_relational_denote():
@@ -218,9 +220,9 @@ def test_overflow_and_out_of_domain_assignments_are_stuck():
     overflow = Assign("a", Mul(Var("a"), Const(1 << 62)))  # UNDEFINED for |a| >= 2
     programs = [
         overflow,
-        Seq(Decl("a", "int"), overflow),
+        Seq((Decl("a", "int"), overflow)),
         parse_program("a = a + 3; b = b - a;", predeclared=VARS),
-        While(Cmp("<", Var("a"), Const(2)), Seq(Decl("c", "int"), overflow)),
+        While(Cmp("<", Var("a"), Const(2)), Seq((Decl("c", "int"), overflow))),
     ]
     for program in programs:
         for pre, post in (("true", "true"), ("a != 0", "a == 0"), ("a == 3", "b > 2")):
