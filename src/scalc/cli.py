@@ -116,10 +116,10 @@ def cmd_laws(args) -> int:
         )
         print(
             json.dumps(
-                {"law": result.law, "trials": result.trials, "violations": len(result.violations)}
+                {"law": result.law, "trials": result.trials, "violations": result.violation_count}
             )
         )
-        if result.violations:
+        if not result.ok:
             failed = True
     return 1 if failed else 0
 

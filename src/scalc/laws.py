@@ -16,7 +16,9 @@ Laws are checked on small abstract spaces with three binding strategies:
 
 A phase's bindings at one size run as the lanes of one evaluation (see
 `formulas.compile_lanes`), in chunks of as many lanes as keep every mask
-within `LANE_BITS` bits; only a violation is built as sets and relations.
+within `LANE_BITS` bits.  Violations are counted in the lanes; their
+bindings are built as sets and relations only when `LawResult.violations`
+is first read.
 
 A handful of registered entries are deliberate non-theorems (negative
 controls).  They prove the machinery can detect falsehood and are excluded
@@ -27,8 +29,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
-from functools import lru_cache, partial
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
 from operator import itemgetter
 
 from .errors import TooManyBindingsError, UnboundStateVariableError, UnknownLawError
@@ -114,13 +116,45 @@ class LawInstance:
 
 @dataclass(frozen=True)
 class LawResult:
+    """How many trials ran and how many of them violated the law.  The
+    violating bindings are rebuilt from `misses` when `violations` is first
+    read."""
+
     law: str
     trials: int
-    violations: tuple[LawInstance, ...]
+    violation_count: int
+    # each chunk with a violation: (size, phase, its bit-plane generator, first
+    # lane's index, lanes, lane verdicts with bit t set when lane t holds)
+    misses: tuple[tuple, ...] = field(compare=False, repr=False)
+    seed: int = field(compare=False, repr=False)  # the random phase's base seed
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violation_count
+
+    @cached_property
+    def violations(self) -> tuple[LawInstance, ...]:
+        """Each violating binding, in trial order, decoded from its chunk's
+        bit planes as its phase's generator rebuilds them; a random trial
+        replays from its seed, any other from its index."""
+        law = get_law(self.law)
+        symbols = law.pred_symbols + law.rel_symbols
+        arities = [1] * len(law.pred_symbols) + [2] * len(law.rel_symbols)
+        instances = []
+        for n, phase, planes_of, t0, L, ok in self.misses:
+            space = abstract_space(n)
+            planes = [planes_of(j, t0, L) for j in range(len(symbols))]
+            hits = [t for t, bit in enumerate(format(ok, f"0{L}b")[::-1]) if bit == "0"]
+            replays = [t0 + t for t in hits]
+            if phase == "random":
+                labels = (f"{law.name}/{n}/{idx}" for idx in replays)
+                replays = struct.unpack(f"<{len(hits)}Q", derive_seeds(self.seed, labels))
+            for t, inst_seed in zip(hits, replays):
+                env = {sym: FIXED[sym](n) for sym in law.fixed}
+                env.update((sym, _decode(p, t, space, a)) for sym, p, a in zip(symbols, planes, arities))
+                bindings = tuple(sorted(env.items()))
+                instances.append(LawInstance(law.name, n, f"{phase}-{t0 + t}", inst_seed, bindings))
+        return tuple(instances)
 
 
 LAWS: dict[str, Law] = {}
@@ -416,10 +450,9 @@ def check_law(
     law = get_law(name)
     symbols = law.pred_symbols + law.rel_symbols
     arities = [1] * len(law.pred_symbols) + [2] * len(law.rel_symbols)
-    violations: list[LawInstance] = []
-    count = 0
+    misses: list[tuple] = []
+    count = failed = 0
     for n in sizes:
-        space = abstract_space(n)
         total = exhaustive_binding_count(law, n)
         if exhaustive_only and total > _EXHAUSTIVE_HARD_CAP:
             raise TooManyBindingsError(
@@ -431,7 +464,6 @@ def check_law(
             phases.append(("exhaustive", total, partial(_exhaustive, law, n)))
         if not exhaustive_only:
             phases.append(("random", trials, partial(_random, law, n, seed)))
-        fixed = {sym: FIXED[sym](n) for sym in law.fixed}
         lanes = max(1, LANE_BITS // n**law.width)
         for phase, number, planes_of in phases:
             count += number
@@ -441,20 +473,11 @@ def check_law(
                 masks = {sym: _pack(p, n, a) for sym, p, a in zip(symbols, planes, arities)}
                 # a fixed set is the same in every lane: full or empty over n*L bits
                 masks.update((sym, FIXED[sym](n * L).mask) for sym in law.fixed)
-                ok = format(law.lanes(masks, n, L), f"0{L}b")[::-1]
-                hits = [t for t, bit in enumerate(ok) if bit == "0"]
-                # a random trial replays from its seed, any other from its index
-                replays = [t0 + t for t in hits]
-                if phase == "random":
-                    labels = (f"{law.name}/{n}/{idx}" for idx in replays)
-                    replays = struct.unpack(f"<{len(hits)}Q", derive_seeds(seed, labels))
-                for t, inst_seed in zip(hits, replays):
-                    env = dict(fixed)
-                    for sym, p, a in zip(symbols, planes, arities):
-                        env[sym] = _decode(p, t, space, a)
-                    bindings = tuple(sorted(env.items()))
-                    violations.append(LawInstance(law.name, n, f"{phase}-{t0 + t}", inst_seed, bindings))
-    return LawResult(law.name, count, tuple(violations))
+                ok = law.lanes(masks, n, L)
+                if ok.bit_count() < L:
+                    failed += L - ok.bit_count()
+                    misses.append((n, phase, planes_of, t0, L, ok))
+    return LawResult(law.name, count, failed, tuple(misses), seed)
 
 
 def run_laws(

@@ -15,6 +15,8 @@ from scalc.laws import DEFAULT_SEED, LAWS, check_law
 from scalc.specfile import load_task
 from scalc.syntax import MAX_NESTING, Seq, expr_to_str, parse_program, pretty_print
 
+from test_laws import count_builds
+
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
 EX41 = str(SPECS / "ex41.spec")
@@ -161,6 +163,13 @@ class TestLaws:
         )
         assert code == 1
         assert json.loads(out)["violations"] > 0
+
+    def test_a_run_builds_no_violation_instance(self, capsys, monkeypatch):
+        built = count_builds(monkeypatch)
+        code, out, _ = run(capsys, "laws", "--law", "t11-variant", "--trials", "2000")
+        assert code == 1
+        assert built == {"_decode": 0, "LawInstance": 0}
+        assert json.loads(out)["violations"] == len(check_law("t11-variant", trials=2000).violations)
 
     def test_unknown_law(self, capsys):
         code, _, err = run(capsys, "laws", "--law", "thm42")
