@@ -102,8 +102,7 @@ class UndeclaredVariableError(ScalcError):
 
 
 class SpaceMismatchError(ScalcError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    """A relation and the sets it is checked against are over different spaces."""
 
 
 class UnknownLawError(ScalcError):
@@ -117,12 +116,8 @@ class TooManyBindingsError(ScalcError, ValueError):
 
 
 class UnsupportedForExportError(ScalcError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    """A program or expression the SMT-LIB export cannot encode."""
 
 
 class SpecFileError(ScalcError):
     """A .spec input file is malformed (missing section, bad header, ...)."""
-
-    def __init__(self, detail: str):
-        super().__init__(detail)

@@ -24,7 +24,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .errors import UnknownVariableError, UnsupportedForExportError
-from .predicates import BY_NODE, And, BoolConst, Const, Expr, Implies, Mul, Neg, Not, PredExpr, Var
+from .predicates import INFIX, PREFIX, Arith, BoolConst, Const, Expr, PredExpr, Var
 from .predicates import operands, operator_of, subexpressions
 from .syntax import (
     Assign,
@@ -66,14 +66,14 @@ class VCDocument:
         return self.text()
 
 
-def _smt(node, *terms: str) -> str:
-    """The SMT-LIB term over `terms` of the operator that builds the class
-    `node`, or of the comparison whose token `node` is."""
-    return BY_NODE[node].smt.format(*terms)
+def _smt(token: str, *terms: str) -> str:
+    """The SMT-LIB term over `terms` of the operator `token`: its prefix
+    form for one term, its infix form for two."""
+    return (PREFIX if len(terms) == 1 else INFIX)[token].smt.format(*terms)
 
 
 def _smt_int(n: int) -> str:
-    return str(n) if n >= 0 else _smt(Neg, str(-n))
+    return str(n) if n >= 0 else _smt("-", str(-n))
 
 
 class _Encoder:
@@ -98,7 +98,7 @@ class _Encoder:
 
     def _constrain_type(self, name: str, sym: str):
         if self.types[name] == "bool":
-            self.conjuncts.append(_smt(And, _smt("<=", "0", sym), _smt("<=", sym, "1")))
+            self.conjuncts.append(_smt("&&", _smt("<=", "0", sym), _smt("<=", sym, "1")))
 
     def _lookup(self, name: str) -> str:
         try:
@@ -151,7 +151,7 @@ class _Encoder:
         self.stmt(then_branch, _conj(path, guard))
         then_env = self.env
         self.env = dict(before)
-        self.stmt(else_branch, _conj(path, _smt(Not, guard)))
+        self.stmt(else_branch, _conj(path, _smt("!", guard)))
         else_env = self.env
         merged = dict(else_env)
         for name, then_sym in then_env.items():
@@ -173,15 +173,15 @@ class _Encoder:
             self._branch(s.cond, s.body, Nop(), path)
         guard = self.expr(s.cond)
         if path == "true":
-            self.conjuncts.append(_smt(Not, guard))
+            self.conjuncts.append(_smt("!", guard))
         else:
-            self.conjuncts.append(_smt(Implies, path, _smt(Not, guard)))
+            self.conjuncts.append(_smt("->", path, _smt("!", guard)))
 
 
 def _conj(a: str, b: str) -> str:
     if a == "true":
         return b
-    return _smt(And, a, b)
+    return _smt("&&", a, b)
 
 
 def _expanded_size(s: Stmt, unroll: int) -> int:
@@ -205,7 +205,7 @@ def select_logic(program: Stmt, pre: PredExpr, post: PredExpr) -> str:
         elif isinstance(s, (IfThenElse, While)):
             exprs.append(s.cond)
     nonlinear = any(
-        isinstance(n, Mul) and not isinstance(n.left, Const) and not isinstance(n.right, Const)
+        isinstance(n, Arith) and n.op == "*" and not isinstance(n.left, Const) and not isinstance(n.right, Const)
         for e in exprs
         for n in subexpressions(e)
     )
@@ -257,7 +257,7 @@ def export_vc(
     enc.conjuncts.append(pre_smt)
     enc.stmt(program, "true")
     post_smt = enc.expr(post)
-    enc.conjuncts.append(_smt(Not, post_smt))
+    enc.conjuncts.append(_smt("!", post_smt))
 
     conjuncts = enc.conjuncts
     assertion = conjuncts[0] if len(conjuncts) == 1 else "(and " + " ".join(conjuncts) + ")"

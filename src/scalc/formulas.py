@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Union
 
 from .errors import ArityMismatchError, UnboundStateVariableError, UnboundSymbolError
-from .predicates import PredSet
+from .predicates import OPERATORS, Conn, PredSet
 from .semantics import Relation
 from .state_space import StateSpace
 
@@ -52,40 +52,33 @@ class FNot(SFormula):
     operand: SFormula
 
 
+CONNECTIVES = tuple(op.token for op in OPERATORS if op.node is Conn)
+
+
 @dataclass(frozen=True)
-class FAnd(SFormula):
+class FConn(SFormula):
+    """left op right, for op one of the predicates' connectives `CONNECTIVES`."""
+
+    op: str
     left: SFormula
     right: SFormula
 
-
-@dataclass(frozen=True)
-class FOr(SFormula):
-    left: SFormula
-    right: SFormula
+    def __post_init__(self):
+        if self.op not in CONNECTIVES:
+            raise ValueError(f"bad FConn operator {self.op!r}")
 
 
 @dataclass(frozen=True)
-class FImplies(SFormula):
-    left: SFormula
-    right: SFormula
+class Quant(SFormula):
+    """forall var. body, or exists var. body: op is "forall" or "exists"."""
 
-
-@dataclass(frozen=True)
-class FIff(SFormula):
-    left: SFormula
-    right: SFormula
-
-
-@dataclass(frozen=True)
-class Forall(SFormula):
+    op: str
     var: str
     body: SFormula
 
-
-@dataclass(frozen=True)
-class Exists(SFormula):
-    var: str
-    body: SFormula
+    def __post_init__(self):
+        if self.op not in ("forall", "exists"):
+            raise ValueError(f"bad Quant operator {self.op!r}")
 
 
 def subformulas(f: SFormula) -> Iterator[SFormula]:
@@ -188,32 +181,30 @@ def _compile(f: SFormula, scope: tuple[str, ...]) -> tuple[tuple[str, ...], Lane
         k = len(fv)
         return fv, lambda env, n, L: g(env, n, L) ^ (1 << L * n**k) - 1, width
 
-    if isinstance(f, (FAnd, FOr, FImplies, FIff)):
+    if isinstance(f, FConn):
         lv, l, lw = _compile(f.left, scope)
         rv, r, rw = _compile(f.right, scope)
         fv = _order(set(lv) | set(rv), scope)
         l, r = _align(lv, l, fv), _align(rv, r, fv)
-        k, kind = len(fv), type(f)
+        k, op = len(fv), f.op
 
         def run(env, n, L):
             m, ones = l(env, n, L), (1 << L * n**k) - 1
-            if kind is FIff:
+            if op == "<->":
                 return m ^ r(env, n, L) ^ ones
-            if kind is FImplies:
+            if op == "->":
                 m ^= ones  # a -> b is (not a) or b
-            if kind is FAnd:
+            if op == "&&":
                 return m and m & r(env, n, L)
             return m if m == ones else m | r(env, n, L)
 
         return fv, run, max(lw, rw, k)
 
-    if isinstance(f, (Forall, Exists)):
+    if isinstance(f, Quant):
         bv, body, width = _compile(f.body, scope + (f.var,))
         if f.var not in bv:
             bv, body = bv + (f.var,), _align(bv, body, bv + (f.var,))
-        k = len(bv)
-
-        every = isinstance(f, Forall)
+        k, every = len(bv), f.op == "forall"
 
         # The body's mask is n blocks, one for each state of f.var, of a lane
         # for each valuation of the other variables: combine the blocks.
@@ -285,22 +276,22 @@ def _at(p: OnePlace, v: str) -> SFormula:
 def _wlp(rel: str, post: OnePlace, x: str) -> SFormula:
     """Every S-successor of x satisfies Q."""
     y = x + "'"
-    return Forall(y, FImplies(RelApp(rel, x, y), _at(post, y)))
+    return Quant("forall", y, FConn("->", RelApp(rel, x, y), _at(post, y)))
 
 
 def wp_formula(rel: str, post: OnePlace, x: str = "x") -> SFormula:
     """wp(S, Q) with free variable x: x has an S-successor, and every
     S-successor of x satisfies Q (Dijkstra 1975)."""
-    return FAnd(Exists(x + "'", RelApp(rel, x, x + "'")), _wlp(rel, post, x))
+    return FConn("&&", Quant("exists", x + "'", RelApp(rel, x, x + "'")), _wlp(rel, post, x))
 
 
 def ht_total(pre: OnePlace, rel: str, post: OnePlace) -> SFormula:
     """The total-correctness triple {P} S {Q}:
     forall x. P(x) -> (exists y. S(x,y)) and forall y. (S(x,y) -> Q(y))."""
-    return Forall("x", FImplies(_at(pre, "x"), wp_formula(rel, post)))
+    return Quant("forall", "x", FConn("->", _at(pre, "x"), wp_formula(rel, post)))
 
 
 def ht_partial(pre: OnePlace, rel: str, post: OnePlace) -> SFormula:
     """The partial-correctness triple {P} S {Q}:
     forall x. P(x) -> forall y. (S(x,y) -> Q(y))."""
-    return Forall("x", FImplies(_at(pre, "x"), _wlp(rel, post, "x")))
+    return Quant("forall", "x", FConn("->", _at(pre, "x"), _wlp(rel, post, "x")))

@@ -36,15 +36,11 @@ from operator import itemgetter
 from .errors import TooManyBindingsError, UnboundStateVariableError, UnknownLawError
 from .formulas import (
     Binding,
-    Exists,
-    FAnd,
-    FIff,
-    FImplies,
+    FConn,
     FNot,
-    FOr,
-    Forall,
     LaneEvaluator,
     PredApp,
+    Quant,
     RelApp,
     SFormula,
     compile_lanes,
@@ -193,11 +189,11 @@ def _p(sym: str):
 
 
 def _or(a, b):
-    return lambda v: FOr(a(v), b(v))
+    return lambda v: FConn("||", a(v), b(v))
 
 
 def _and(a, b):
-    return lambda v: FAnd(a(v), b(v))
+    return lambda v: FConn("&&", a(v), b(v))
 
 
 def _not(a):
@@ -205,16 +201,16 @@ def _not(a):
 
 
 def _subset(a, b) -> SFormula:
-    return Forall("x", FImplies(a("x"), b("x")))
+    return Quant("forall", "x", FConn("->", a("x"), b("x")))
 
 
 def _empty(a) -> SFormula:
-    return Forall("x", FNot(a("x")))
+    return Quant("forall", "x", FNot(a("x")))
 
 
 def _catalog() -> list[tuple[str, str, SFormula]]:
-    A, O, I, E, N = FAnd, FOr, FImplies, FIff, FNot
-    fa, ex = Forall, Exists
+    A, O, I, E = (partial(FConn, op) for op in ("&&", "||", "->", "<->"))
+    N, fa, ex = FNot, partial(Quant, "forall"), partial(Quant, "exists")
     P, Q, R, U, V, W = map(_p, "PQRUVW")
 
     def ht(pre, post):

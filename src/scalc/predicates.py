@@ -15,10 +15,10 @@ variables it does not read.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
-from .errors import SourceSpan, UnknownVariableError
+from .errors import UnknownVariableError
 from .state_space import StateSpace
 
 INT64_MIN = -(1 << 63)
@@ -56,40 +56,33 @@ class ArithExpr:
 @dataclass(frozen=True)
 class Const(ArithExpr):
     value: int
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Var(ArithExpr):
     name: str
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+
+
+def _check_op(node) -> None:
+    """Refuse a node whose `op` is not a token of the node's own class."""
+    entry = INFIX.get(node.op)
+    if entry is None or entry.node is not type(node):
+        raise ValueError(f"bad {type(node).__name__} operator {node.op!r}")
 
 
 @dataclass(frozen=True)
-class Add(ArithExpr):
+class Arith(ArithExpr):
+    """left op right, for op one of `+ - *`."""
+
+    op: str
     left: ArithExpr
     right: ArithExpr
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Sub(ArithExpr):
-    left: ArithExpr
-    right: ArithExpr
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Mul(ArithExpr):
-    left: ArithExpr
-    right: ArithExpr
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    __post_init__ = _check_op
 
 
 @dataclass(frozen=True)
 class Neg(ArithExpr):
     operand: ArithExpr
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -100,53 +93,31 @@ class PredExpr:
 @dataclass(frozen=True)
 class BoolConst(PredExpr):
     value: bool
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Cmp(PredExpr):
+    """left op right, for op one of `== != < <= > >=`."""
+
     op: str
     left: ArithExpr
     right: ArithExpr
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.op not in CMP_OPS:
-            raise ValueError(f"bad comparison operator {self.op!r}")
+    __post_init__ = _check_op
 
 
 @dataclass(frozen=True)
 class Not(PredExpr):
     operand: PredExpr
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class And(PredExpr):
+class Conn(PredExpr):
+    """left op right, for op one of `&& || -> <->`."""
+
+    op: str
     left: PredExpr
     right: PredExpr
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Or(PredExpr):
-    left: PredExpr
-    right: PredExpr
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Implies(PredExpr):
-    left: PredExpr
-    right: PredExpr
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Iff(PredExpr):
-    left: PredExpr
-    right: PredExpr
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    __post_init__ = _check_op
 
 
 Expr = Union[ArithExpr, PredExpr]
@@ -160,7 +131,7 @@ Expr = Union[ArithExpr, PredExpr]
 @dataclass(frozen=True)
 class Operator:
     token: str
-    node: type  # the AST class it builds; the comparisons share Cmp
+    node: type  # the AST class it builds: Arith, Cmp and Conn hold the token
     level: int  # precedence: a higher level binds tighter
     grouping: str  # "left", "right", "none" (a comparison) or "prefix"
     smt: str  # the SMT-LIB term, one "{}" per operand
@@ -168,10 +139,10 @@ class Operator:
 
 
 OPERATORS = (
-    Operator("<->", Iff, 1, "left", "(= {} {})"),
-    Operator("->", Implies, 2, "right", "(=> {} {})"),
-    Operator("||", Or, 3, "left", "(or {} {})"),
-    Operator("&&", And, 4, "left", "(and {} {})"),
+    Operator("<->", Conn, 1, "left", "(= {} {})"),
+    Operator("->", Conn, 2, "right", "(=> {} {})"),
+    Operator("||", Conn, 3, "left", "(or {} {})"),
+    Operator("&&", Conn, 4, "left", "(and {} {})"),
     Operator("!", Not, 5, "prefix", "(not {})"),
     Operator("==", Cmp, 6, "none", "(= {} {})", operator.eq),
     Operator("!=", Cmp, 6, "none", "(not (= {} {}))", operator.ne),
@@ -179,24 +150,25 @@ OPERATORS = (
     Operator("<=", Cmp, 6, "none", "(<= {} {})", operator.le),
     Operator(">", Cmp, 6, "none", "(> {} {})", operator.gt),
     Operator(">=", Cmp, 6, "none", "(>= {} {})", operator.ge),
-    Operator("+", Add, 7, "left", "(+ {} {})", operator.add),
-    Operator("-", Sub, 7, "left", "(- {} {})", operator.sub),
-    Operator("*", Mul, 8, "left", "(* {} {})", operator.mul),
+    Operator("+", Arith, 7, "left", "(+ {} {})", operator.add),
+    Operator("-", Arith, 7, "left", "(- {} {})", operator.sub),
+    Operator("*", Arith, 8, "left", "(* {} {})", operator.mul),
     Operator("-", Neg, 9, "prefix", "(- {})"),
 )
 
-CMP_OPS = tuple(op.token for op in OPERATORS if op.node is Cmp)
 # operators below the comparisons combine predicates, the rest arithmetic
 CMP_LEVEL = next(op.level for op in OPERATORS if op.node is Cmp)
 INFIX = {op.token: op for op in OPERATORS if op.grouping != "prefix"}
 PREFIX = {op.token: op for op in OPERATORS if op.grouping == "prefix"}
-# each entry by the class it builds, a comparison's by its token
-BY_NODE = {op.token if op.node is Cmp else op.node: op for op in OPERATORS}
 
 
 def operator_of(e: Expr) -> Optional[Operator]:
     """The entry that builds e, or None for a constant or a variable."""
-    return BY_NODE.get(e.op if isinstance(e, Cmp) else type(e))
+    if isinstance(e, (Arith, Cmp, Conn)):
+        return INFIX[e.op]
+    if isinstance(e, Neg):
+        return PREFIX["-"]
+    return PREFIX["!"] if isinstance(e, Not) else None
 
 
 def operands(e: Expr) -> list[Expr]:
@@ -234,21 +206,20 @@ def compile_arith(e: ArithExpr, space: StateSpace) -> Callable[[int], ArithValue
         size = len(values)
         return lambda i: values[i // stride % size]
     if isinstance(e, Neg):
-        return compile_arith(Sub(Const(0), e.operand), space)
-    entry = BY_NODE.get(type(e))
-    if entry is not None and isinstance(e, ArithExpr):
-        op = entry.apply
-        left, right = compile_arith(e.left, space), compile_arith(e.right, space)
+        return compile_arith(Arith("-", Const(0), e.operand), space)
+    if not isinstance(e, Arith):
+        raise TypeError(f"not an arithmetic expression: {e!r}")
+    op = INFIX[e.op].apply
+    left, right = compile_arith(e.left, space), compile_arith(e.right, space)
 
-        def binary(i: int) -> ArithValue:
-            a, b = left(i), right(i)
-            if a is UNDEFINED or b is UNDEFINED:
-                return UNDEFINED
-            v = op(a, b)
-            return v if INT64_MIN <= v <= INT64_MAX else UNDEFINED
+    def binary(i: int) -> ArithValue:
+        a, b = left(i), right(i)
+        if a is UNDEFINED or b is UNDEFINED:
+            return UNDEFINED
+        v = op(a, b)
+        return v if INT64_MIN <= v <= INT64_MAX else UNDEFINED
 
-        return binary
-    raise TypeError(f"not an arithmetic expression: {e!r}")
+    return binary
 
 
 def compile_pred(p: PredExpr, space: StateSpace) -> Callable[[int], bool]:
@@ -259,7 +230,7 @@ def compile_pred(p: PredExpr, space: StateSpace) -> Callable[[int], bool]:
         value = p.value
         return lambda i: value
     if isinstance(p, Cmp):
-        op = operator_of(p).apply
+        op = INFIX[p.op].apply
         left, right = compile_arith(p.left, space), compile_arith(p.right, space)
 
         def cmp(i: int) -> bool:
@@ -272,14 +243,14 @@ def compile_pred(p: PredExpr, space: StateSpace) -> Callable[[int], bool]:
     if isinstance(p, Not):
         operand = compile_pred(p.operand, space)
         return lambda i: not operand(i)
-    if not isinstance(p, (And, Or, Implies, Iff)):
+    if not isinstance(p, Conn):
         raise TypeError(f"not a predicate expression: {p!r}")
     left, right = compile_pred(p.left, space), compile_pred(p.right, space)
-    if isinstance(p, And):
+    if p.op == "&&":
         return lambda i: left(i) and right(i)
-    if isinstance(p, Or):
+    if p.op == "||":
         return lambda i: left(i) or right(i)
-    if isinstance(p, Implies):
+    if p.op == "->":
         return lambda i: not left(i) or right(i)
     return lambda i: left(i) == right(i)
 
@@ -381,14 +352,14 @@ def _mask(p: PredExpr, space: StateSpace, care: int, full: int) -> int:
         return _atom_mask(p, space)
     if isinstance(p, Not):
         return full ^ _mask(p.operand, space, care, full)
-    if not isinstance(p, (And, Or, Implies, Iff)):
+    if not isinstance(p, Conn):
         raise TypeError(f"not a predicate expression: {p!r}")
     left = _mask(p.left, space, care, full)
-    if isinstance(p, And):
+    if p.op == "&&":
         return left & _mask(p.right, space, care & left, full)
-    if isinstance(p, Or):
+    if p.op == "||":
         return left | _mask(p.right, space, care & ~left, full)
-    if isinstance(p, Implies):
+    if p.op == "->":
         return (full ^ left) | _mask(p.right, space, care & left, full)
     return full ^ left ^ _mask(p.right, space, care, full)
 

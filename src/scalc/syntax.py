@@ -48,9 +48,9 @@ from .predicates import (
     CMP_LEVEL,
     INFIX,
     PREFIX,
+    Arith,
     ArithExpr,
     BoolConst,
-    Cmp,
     Const,
     Expr,
     Neg,
@@ -327,17 +327,17 @@ class _Parser:
     def assign(self) -> Stmt:
         name = self.expect_ident()
         self.check_declared(name.text, name.span)
-        target = Var(name.text, span=name.span)
+        target = Var(name.text)
         tok = self.peek()
         if self.accept("="):
             expr = self.below(self.expr, _ARITH)[0]
         elif tok.text in ("+=", "-=", "*="):
             self.advance()
             # two levels down: below the assignment and the operator it adds
-            expr = INFIX[tok.text[0]].node(target, self.below(self.below, self.expr, _ARITH)[0])
+            expr = Arith(tok.text[0], target, self.below(self.below, self.expr, _ARITH)[0])
         elif tok.text in ("++", "--"):
             self.advance()
-            expr = INFIX[tok.text[0]].node(target, Const(1))
+            expr = Arith(tok.text[0], target, Const(1))
         else:
             return self.fail("expected an assignment operator")
         end = self.expect(";")
@@ -396,7 +396,7 @@ class _Parser:
             height = max(height, right_height) + 1
             if self.depth + height > MAX_NESTING:
                 self.too_deep(tok)
-            left = Cmp(tok.text, left, right, span=tok.span) if op.node is Cmp else op.node(left, right)
+            left = op.node(tok.text, left, right)
         if min_level <= CMP_LEVEL and isinstance(left, ArithExpr):
             self.fail("expected a comparison operator")
         return left, height
@@ -407,11 +407,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return Const(int(tok.text), span=tok.span), 1
+            return Const(int(tok.text)), 1
         if tok.kind == "ident":
             self.advance()
             self.check_declared(tok.text, tok.span)
-            return Var(tok.text, span=tok.span), 1
+            return Var(tok.text), 1
         op = PREFIX.get(tok.text)
         if op is not None and op.level >= min_level:
             self.advance()
@@ -419,12 +419,12 @@ class _Parser:
             inner, height = self.below(self.expr, op.level)
             if op.node is Neg and literal:
                 # only a minus directly on a literal folds: `-(k)` stays Neg
-                return Const(-inner.value, span=tok.span), height + 1
-            return op.node(inner, span=tok.span), height + 1
+                return Const(-inner.value), height + 1
+            return op.node(inner), height + 1
         if min_level <= CMP_LEVEL:
             if tok.kind == "keyword" and tok.text in ("true", "false"):
                 self.advance()
-                return BoolConst(tok.text == "true", span=tok.span), 1
+                return BoolConst(tok.text == "true"), 1
             if tok.text == "(":
                 # Could open a parenthesized predicate or the left operand of a
                 # comparison; try the comparison reading first and backtrack.

@@ -26,7 +26,7 @@ from scalc.laws import (
     registered_laws,
     run_laws,
 )
-from scalc.predicates import BoolConst, Cmp, Const, Or, PredSet, Var, pred_to_set
+from scalc.predicates import BoolConst, Cmp, Conn, Const, PredSet, Var, pred_to_set
 from scalc.semantics import denote
 from scalc.specfile import load_task
 from scalc.state_space import build_space
@@ -151,7 +151,7 @@ def test_criterion_6_loop_denotation_is_the_unrolling_fixpoint():
         ]
         b = arms[0] if arms else BoolConst(False)
         for arm in arms[1:]:
-            b = Or(b, arm)
+            b = Conn("||", b, arm)
         # the body is a program that denotes the drawn relation
         relation = random_relation(space, rng.getrandbits(64))
         body = relation_stmt(relation)

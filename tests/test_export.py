@@ -19,18 +19,13 @@ from scalc.errors import UnsupportedForExportError
 from scalc.export import VCDocument, export_vc, select_logic
 from scalc.hoare import verify
 from scalc.predicates import (
-    Add,
-    And,
+    Arith,
     BoolConst,
     Cmp,
+    Conn,
     Const,
-    Iff,
-    Implies,
-    Mul,
     Neg,
     Not,
-    Or,
-    Sub,
     Var,
 )
 from scalc.semantics import denote
@@ -406,7 +401,7 @@ class TestLogicSelection:
 
     def test_nonlinear_postcondition_counts(self):
         prog = parse_program(";")
-        post = Cmp("==", Mul(Var("i"), Var("i")), Const(4))
+        post = Cmp("==", Arith("*", Var("i"), Var("i")), Const(4))
         assert select_logic(prog, BoolConst(True), post) == "QF_NIA"
 
     def test_doc_logic_matches_header(self):
@@ -447,8 +442,8 @@ class TestAgreementWithFiniteVerifier:
             return Var(rng.choice(self.VARS))
         if r < 0.78:
             return Neg(self._arith(rng, False, depth - 1))
-        ctor = rng.choice((Add, Sub, Mul))
-        return ctor(self._arith(rng, False, depth - 1), self._arith(rng, False, depth - 1))
+        op = rng.choice(("+", "-", "*"))
+        return Arith(op, self._arith(rng, False, depth - 1), self._arith(rng, False, depth - 1))
 
     def _cond(self, rng, depth=2):
         r = rng.random()
@@ -457,8 +452,8 @@ class TestAgreementWithFiniteVerifier:
             return Cmp(op, self._arith(rng, False), self._arith(rng, False))
         if r < 0.6:
             return Not(self._cond(rng, depth - 1))
-        ctor = rng.choice((And, Or, Implies, Iff))
-        return ctor(self._cond(rng, depth - 1), self._cond(rng, depth - 1))
+        op = rng.choice(("&&", "||", "->", "<->"))
+        return Conn(op, self._cond(rng, depth - 1), self._cond(rng, depth - 1))
 
     def _stmt(self, rng, depth):
         if depth == 0 or rng.random() < 0.3:

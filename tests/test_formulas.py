@@ -14,14 +14,10 @@ from scalc.errors import (
     UnboundSymbolError,
 )
 from scalc.formulas import (
-    Exists,
-    FAnd,
-    FIff,
-    FImplies,
+    FConn,
     FNot,
-    FOr,
-    Forall,
     PredApp,
+    Quant,
     RelApp,
     binding_mask,
     compile_lanes,
@@ -48,28 +44,28 @@ def reference_eval(f, env, space, assign):
         return env[f.symbol].has_pair(assign[f.var1], assign[f.var2])
     if isinstance(f, FNot):
         return not reference_eval(f.operand, env, space, assign)
-    if isinstance(f, FAnd):
+    if isinstance(f, FConn) and f.op == "&&":
         return reference_eval(f.left, env, space, assign) and reference_eval(
             f.right, env, space, assign
         )
-    if isinstance(f, FOr):
+    if isinstance(f, FConn) and f.op == "||":
         return reference_eval(f.left, env, space, assign) or reference_eval(
             f.right, env, space, assign
         )
-    if isinstance(f, FImplies):
+    if isinstance(f, FConn) and f.op == "->":
         return (not reference_eval(f.left, env, space, assign)) or reference_eval(
             f.right, env, space, assign
         )
-    if isinstance(f, FIff):
+    if isinstance(f, FConn) and f.op == "<->":
         return reference_eval(f.left, env, space, assign) == reference_eval(
             f.right, env, space, assign
         )
-    if isinstance(f, Forall):
+    if isinstance(f, Quant) and f.op == "forall":
         return all(
             reference_eval(f.body, env, space, {**assign, f.var: k})
             for k in range(space.size)
         )
-    if isinstance(f, Exists):
+    if isinstance(f, Quant) and f.op == "exists":
         return any(
             reference_eval(f.body, env, space, {**assign, f.var: k})
             for k in range(space.size)
@@ -80,19 +76,20 @@ def reference_eval(f, env, space, assign):
 class TestPinnedFormulas:
     def test_self_implication_tautology(self):
         sp = abstract_space(3)
-        f = Forall("x", FImplies(PredApp("P", "x"), PredApp("P", "x")))
+        f = Quant("forall", "x", FConn("->", PredApp("P", "x"), PredApp("P", "x")))
         for mask in range(8):
             assert eval_sformula(f, {"P": PredSet(3, mask)}, sp)
 
     def test_identity_relation_is_total(self):
         sp = abstract_space(4)
-        f = Forall("x", Exists("y", RelApp("S", "x", "y")))
+        f = Quant("forall", "x", Quant("exists", "y", RelApp("S", "x", "y")))
         assert eval_sformula(f, {"S": identity_relation(sp)}, sp)
 
     def test_quantifier_swap_500_random_relations(self):
-        f = FImplies(
-            Exists("x", Forall("y", RelApp("S", "x", "y"))),
-            Forall("y", Exists("x", RelApp("S", "x", "y"))),
+        f = FConn(
+            "->",
+            Quant("exists", "x", Quant("forall", "y", RelApp("S", "x", "y"))),
+            Quant("forall", "y", Quant("exists", "x", RelApp("S", "x", "y"))),
         )
         for trial in range(500):
             sp = abstract_space(1 + trial % 4)
@@ -102,8 +99,8 @@ class TestPinnedFormulas:
     def test_one_state_space_quantifiers(self):
         sp = abstract_space(1)
         body = PredApp("P", "x")
-        assert not eval_sformula(Forall("x", body), {"P": PredSet.empty(1)}, sp)
-        assert eval_sformula(Exists("x", body), {"P": PredSet.full(1)}, sp)
+        assert not eval_sformula(Quant("forall", "x", body), {"P": PredSet.empty(1)}, sp)
+        assert eval_sformula(Quant("exists", "x", body), {"P": PredSet.full(1)}, sp)
 
 
 class TestShadowing:
@@ -111,10 +108,12 @@ class TestShadowing:
         sp = abstract_space(2)
         # exists x (P(x) and forall x Q(x)): after the inner forall runs, the
         # outer x must still be visible to later conjuncts
-        f = Exists(
+        f = Quant(
+            "exists",
             "x",
-            FAnd(
-                FAnd(PredApp("P", "x"), Forall("x", PredApp("Q", "x"))),
+            FConn(
+                "&&",
+                FConn("&&", PredApp("P", "x"), Quant("forall", "x", PredApp("Q", "x"))),
                 PredApp("P", "x"),
             ),
         )
@@ -133,37 +132,38 @@ class TestErrors:
     def test_unbound_symbol(self):
         sp = abstract_space(2)
         with pytest.raises(UnboundSymbolError):
-            eval_sformula(Forall("x", PredApp("P", "x")), {}, sp)
+            eval_sformula(Quant("forall", "x", PredApp("P", "x")), {}, sp)
 
     def test_arity_mismatch_in_env(self):
         sp = abstract_space(2)
-        f = Forall("x", PredApp("P", "x"))
+        f = Quant("forall", "x", PredApp("P", "x"))
         with pytest.raises(ArityMismatchError):
             eval_sformula(f, {"P": identity_relation(sp)}, sp)
 
     def test_mixed_arity_use_rejected(self):
-        f = Forall(
+        f = Quant(
+            "forall",
             "x",
-            Forall("y", FAnd(PredApp("S", "x"), RelApp("S", "x", "y"))),
+            Quant("forall", "y", FConn("&&", PredApp("S", "x"), RelApp("S", "x", "y"))),
         )
         with pytest.raises(ArityMismatchError):
             symbol_arities(f)
 
     def test_wrong_size_binding(self):
         sp = abstract_space(3)
-        f = Forall("x", PredApp("P", "x"))
+        f = Quant("forall", "x", PredApp("P", "x"))
         with pytest.raises(ValueError):
             eval_sformula(f, {"P": PredSet.full(2)}, sp)
 
 
 class TestFreeVars:
     def test_free_and_bound(self):
-        f = Forall("x", RelApp("S", "x", "y"))
+        f = Quant("forall", "x", RelApp("S", "x", "y"))
         assert free_vars(f) == frozenset({"y"})
-        assert free_vars(Forall("y", f)) == frozenset()
+        assert free_vars(Quant("forall", "y", f)) == frozenset()
 
     def test_arities(self):
-        f = Forall("x", FAnd(PredApp("P", "x"), Exists("y", RelApp("S", "x", "y"))))
+        f = Quant("forall", "x", FConn("&&", PredApp("P", "x"), Quant("exists", "y", RelApp("S", "x", "y"))))
         assert symbol_arities(f) == {"P": 1, "S": 2}
 
 
@@ -176,14 +176,14 @@ def random_formula(rng, bound, depth):
         return RelApp("S", rng.choice(bound), rng.choice(bound))
     if not bound or rng.random() < 0.35:
         var = rng.choice("uvw")
-        ctor = Forall if rng.random() < 0.5 else Exists
-        return ctor(var, random_formula(rng, bound + (var,), max(depth - 1, 0)))
+        op = "forall" if rng.random() < 0.5 else "exists"
+        return Quant(op, var, random_formula(rng, bound + (var,), max(depth - 1, 0)))
     kind = rng.randrange(5)
     if kind == 0:
         return FNot(random_formula(rng, bound, depth - 1))
-    ctor = (FAnd, FOr, FImplies, FIff)[kind - 1]
-    return ctor(
-        random_formula(rng, bound, depth - 1), random_formula(rng, bound, depth - 1)
+    op = ("&&", "||", "->", "<->")[kind - 1]
+    return FConn(
+        op, random_formula(rng, bound, depth - 1), random_formula(rng, bound, depth - 1)
     )
 
 
@@ -249,7 +249,7 @@ def test_evaluation_does_not_mutate_env():
     sp = abstract_space(2)
     env = {"P": PredSet.full(2)}
     before = dict(env)
-    eval_sformula(Forall("x", PredApp("P", "x")), env, sp)
+    eval_sformula(Quant("forall", "x", PredApp("P", "x")), env, sp)
     assert env == before
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from scalc import laws
 from scalc.errors import ArityMismatchError, UnboundStateVariableError, UnknownLawError
-from scalc.formulas import FAnd, FIff, Forall, PredApp, RelApp, compile_sformula, eval_sformula, free_vars
+from scalc.formulas import FConn, PredApp, Quant, RelApp, compile_sformula, eval_sformula, free_vars
 from scalc.hoare import check_total, wp
 from scalc.laws import (
     EXHAUSTIVE_LIMIT,
@@ -158,7 +158,7 @@ class TestRegistry:
     def test_thm5_7_holds_by_construction(self):
         # `ht_total` is built from `wp_formula`, so the law reads A <-> A
         law = get_law("thm5.7")
-        assert isinstance(law.formula, FIff)
+        assert isinstance(law.formula, FConn) and law.formula.op == "<->"
         assert law.formula.left == law.formula.right, (
             "thm5.7 is no longer A <-> A: if ROADMAP item 5 restated a side "
             "through an independent wp, update this test and the README"
@@ -171,8 +171,8 @@ class TestRegistry:
     @pytest.mark.parametrize(
         "template, error",
         [
-            (Forall("x", RelApp("S", "x", "y")), UnboundStateVariableError),
-            (Forall("x", FAnd(PredApp("S", "x"), RelApp("S", "x", "x"))), ArityMismatchError),
+            (Quant("forall", "x", RelApp("S", "x", "y")), UnboundStateVariableError),
+            (Quant("forall", "x", FConn("&&", PredApp("S", "x"), RelApp("S", "x", "x"))), ArityMismatchError),
         ],
         ids=["free-state-variable", "two-arities"],
     )

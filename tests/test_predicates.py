@@ -6,30 +6,28 @@ from hypothesis import strategies as st
 
 from scalc import predicates
 from scalc.errors import UnknownVariableError
+from scalc.formulas import FConn, PredApp, Quant
 from scalc.hoare import verify
 from scalc.predicates import (
-    CMP_OPS,
+    CMP_LEVEL,
     INT64_MAX,
     INT64_MIN,
+    OPERATORS,
     UNDEFINED,
-    Add,
+    Arith,
     ArithExpr,
-    And,
     BoolConst,
     Cmp,
+    Conn,
     Const,
-    Iff,
-    Implies,
-    Mul,
     Neg,
     Not,
-    Or,
     PredExpr,
     PredSet,
-    Sub,
     Var,
     compile_arith,
     compile_pred,
+    operator_of,
     pred_to_set,
 )
 from scalc.state_space import (
@@ -82,16 +80,17 @@ def eval_arith(e, state: State):
     if isinstance(e, Neg):
         v = eval_arith(e.operand, state)
         return UNDEFINED if v is UNDEFINED else _clamp64(-v)
-    if isinstance(e, (Add, Sub, Mul)):
+    if isinstance(e, Arith):
         a = eval_arith(e.left, state)
         b = eval_arith(e.right, state)
         if a is UNDEFINED or b is UNDEFINED:
             return UNDEFINED
-        if isinstance(e, Add):
+        if e.op == "+":
             return _clamp64(a + b)
-        if isinstance(e, Sub):
+        if e.op == "-":
             return _clamp64(a - b)
-        return _clamp64(a * b)
+        if e.op == "*":
+            return _clamp64(a * b)
     raise TypeError(f"not an arithmetic expression: {e!r}")
 
 
@@ -116,13 +115,13 @@ def eval_pred(p, state: State) -> bool:
         return _CMP_FNS[p.op](a, b)
     if isinstance(p, Not):
         return not eval_pred(p.operand, state)
-    if isinstance(p, And):
+    if isinstance(p, Conn) and p.op == "&&":
         return eval_pred(p.left, state) and eval_pred(p.right, state)
-    if isinstance(p, Or):
+    if isinstance(p, Conn) and p.op == "||":
         return eval_pred(p.left, state) or eval_pred(p.right, state)
-    if isinstance(p, Implies):
+    if isinstance(p, Conn) and p.op == "->":
         return (not eval_pred(p.left, state)) or eval_pred(p.right, state)
-    if isinstance(p, Iff):
+    if isinstance(p, Conn) and p.op == "<->":
         return eval_pred(p.left, state) == eval_pred(p.right, state)
     raise TypeError(f"not a predicate expression: {p!r}")
 
@@ -144,10 +143,15 @@ def nodes(e):
             yield from nodes(child)
 
 
+def kind_of(node):
+    """A binary operator node's token, any other node's class."""
+    return node.op if isinstance(node, (Arith, Conn)) else type(node)
+
+
 class TestEvalArith:
     def test_multiplication_step(self):
         s = state_of(inf_space(), i=2, n=4, f=1)
-        assert eval_arith(Mul(Var("f"), Var("i")), s) == 2
+        assert eval_arith(Arith("*", Var("f"), Var("i")), s) == 2
 
     def test_variable_lookup(self):
         sp = build_space(VarUniverse((("a", Domain("a", (5,))),)))
@@ -156,18 +160,18 @@ class TestEvalArith:
     def test_overflow_is_undefined(self):
         sp = build_space(VarUniverse((("x", Domain("x", (INT64_MAX,))),)))
         s = index_to_state(sp, 0)
-        assert eval_arith(Add(Var("x"), Const(1)), s) is UNDEFINED
+        assert eval_arith(Arith("+", Var("x"), Const(1)), s) is UNDEFINED
 
     def test_undefined_propagates(self):
         sp = build_space(VarUniverse((("x", Domain("x", (INT64_MAX,))),)))
         s = index_to_state(sp, 0)
-        e = Sub(Mul(Add(Var("x"), Const(1)), Const(0)), Const(3))
+        e = Arith("-", Arith("*", Arith("+", Var("x"), Const(1)), Const(0)), Const(3))
         assert eval_arith(e, s) is UNDEFINED
 
     def test_neg_and_sub(self):
         s = state_of(inf_space(), i=3)
         assert eval_arith(Neg(Var("i")), s) == -3
-        assert eval_arith(Sub(Const(10), Var("i")), s) == 7
+        assert eval_arith(Arith("-", Const(10), Var("i")), s) == 7
 
     def test_unknown_variable(self):
         s = state_of(inf_space())
@@ -194,23 +198,44 @@ class TestEvalPred:
         s = state_of(inf_space(), i=2, n=4)
         le = Cmp("<=", Var("i"), Var("n"))
         eq = Cmp("==", Var("i"), Const(2))
-        assert eval_pred(And(le, eq), s)
-        assert eval_pred(Or(Not(le), eq), s)
-        assert eval_pred(Implies(eq, le), s)
-        assert eval_pred(Iff(le, eq), s)
-        assert not eval_pred(Iff(le, Not(eq)), s)
+        assert eval_pred(Conn("&&", le, eq), s)
+        assert eval_pred(Conn("||", Not(le), eq), s)
+        assert eval_pred(Conn("->", eq, le), s)
+        assert eval_pred(Conn("<->", le, eq), s)
+        assert not eval_pred(Conn("<->", le, Not(eq)), s)
 
     def test_comparison_on_undefined_is_false(self):
         sp = build_space(VarUniverse((("x", Domain("x", (INT64_MAX,))),)))
         s = index_to_state(sp, 0)
-        bump = Add(Var("x"), Const(1))
+        bump = Arith("+", Var("x"), Const(1))
         assert eval_pred(Cmp(">", bump, Const(0)), s) is False
         # even reflexively: an undefined value compares false to itself
         assert eval_pred(Cmp("==", bump, bump), s) is False
 
-    def test_cmp_rejects_unknown_operator(self):
+
+class TestOperatorTokens:
+    @pytest.mark.parametrize(
+        "node, token",
+        [
+            (Cmp, "==="), (Cmp, "->"),
+            (Arith, "/"), (Arith, "&&"),
+            (Conn, "and"), (Conn, "+"),
+            (FConn, "and"), (FConn, "=="),
+            (Quant, "all"), (Quant, "&&"),
+        ],
+    )
+    def test_a_node_refuses_a_token_not_its_own(self, node, token):
+        # an unchecked token would compile as some other operator
+        p, x = PredApp("P", "x"), Var("x")
+        operands = {Cmp: (x, x), Arith: (x, x), Conn: (BoolConst(True), BoolConst(False)), FConn: (p, p)}
         with pytest.raises(ValueError):
-            Cmp("===", Var("a"), Const(0))
+            node(token, *operands.get(node, ("x", p)))
+
+    def test_operator_of_returns_the_entry_that_built_the_node(self):
+        for entry in OPERATORS:
+            a, b = (BoolConst(True), BoolConst(False)) if entry.level < CMP_LEVEL else (Const(1), Const(2))
+            node = entry.node(a) if entry.grouping == "prefix" else entry.node(entry.token, a, b)
+            assert operator_of(node) is entry, entry
 
 
 class TestPredToSet:
@@ -243,8 +268,8 @@ def random_pred(rng, vars_, depth):
     kind = rng.randrange(5)
     if kind == 0:
         return Not(random_pred(rng, vars_, depth - 1))
-    ctor = (And, Or, Implies, Iff)[kind - 1]
-    return ctor(random_pred(rng, vars_, depth - 1), random_pred(rng, vars_, depth - 1))
+    op = ("&&", "||", "->", "<->")[kind - 1]
+    return Conn(op, random_pred(rng, vars_, depth - 1), random_pred(rng, vars_, depth - 1))
 
 
 class TestSetLevelAlgebra:
@@ -258,7 +283,7 @@ class TestSetLevelAlgebra:
         for _ in range(100):
             p = random_pred(rng, ("a", "b"), 3)
             q = random_pred(rng, ("a", "b"), 3)
-            lhs = pred_to_set(Not(And(p, q)), sp)
+            lhs = pred_to_set(Not(Conn("&&", p, q)), sp)
             rhs = ~(pred_to_set(p, sp) & pred_to_set(q, sp))
             assert lhs == rhs
 
@@ -313,6 +338,8 @@ class TestPredSet:
         assert list(s.indices()) == [i for i in range(size) if i in s]
 
 
+CMP_OPS = tuple(op.token for op in OPERATORS if op.node is Cmp)
+
 # values at and next to both ends of the 64-bit range, so that sums,
 # differences, products and negations of them leave it (UNDEFINED)
 EDGE_VALUES = (INT64_MIN, INT64_MIN + 1, -2, -1, 0, 1, 3, INT64_MAX - 1, INT64_MAX)
@@ -333,7 +360,8 @@ def random_arith(rng, names, depth):
     kind = rng.randrange(4)
     if kind == 0:
         return Neg(random_arith(rng, names, depth - 1))
-    return (Add, Sub, Mul)[kind - 1](random_arith(rng, names, depth - 1), random_arith(rng, names, depth - 1))
+    op = ("+", "-", "*")[kind - 1]
+    return Arith(op, random_arith(rng, names, depth - 1), random_arith(rng, names, depth - 1))
 
 
 def random_full_pred(rng, names, depth):
@@ -347,8 +375,8 @@ def random_full_pred(rng, names, depth):
     kind = rng.randrange(5)
     if kind == 0:
         return Not(random_full_pred(rng, names, depth - 1))
-    ctor = (And, Or, Implies, Iff)[kind - 1]
-    return ctor(random_full_pred(rng, names, depth - 1), random_full_pred(rng, names, depth - 1))
+    op = ("&&", "||", "->", "<->")[kind - 1]
+    return Conn(op, random_full_pred(rng, names, depth - 1), random_full_pred(rng, names, depth - 1))
 
 
 def outcome(to_set, p, space):
@@ -374,7 +402,7 @@ class TestPredToSetDifferential:
 
     def test_random_predicates_over_random_universes(self):
         rng = random.Random(0xB175)
-        seen = {kind: 0 for kind in (Not, And, Or, Implies, Iff, BoolConst, Cmp)}
+        seen = {kind: 0 for kind in (Not, "&&", "||", "->", "<->", BoolConst, Cmp)}
         seen.update({"one-point space": 0, "undefined": 0, "raises": 0, "unknown unreached": 0})
         for trial in range(800):
             universe = random_universe(rng)
@@ -383,7 +411,7 @@ class TestPredToSetDifferential:
             p = random_full_pred(rng, names, rng.randrange(1, 5))
             want = outcome(pointwise_pred_to_set, p, space)
             assert outcome(pred_to_set, p, space) == want, f"trial {trial}: {p!r} over {universe.names}"
-            for kind in {type(node) for node in nodes(p)} & set(seen):
+            for kind in {kind_of(node) for node in nodes(p)} & set(seen):
                 seen[kind] += 1
             seen["one-point space"] += space.size == 1
             if want == "unknown variable":
@@ -427,7 +455,7 @@ class TestCompileDifferential:
 
     def test_random_expressions_over_random_universes(self):
         rng = random.Random(0xC0DE)
-        kinds = (Const, Var, Neg, Add, Sub, Mul, BoolConst, Cmp, Not, And, Or, Implies, Iff)
+        kinds = (Const, Var, Neg, "+", "-", "*", BoolConst, Cmp, Not, "&&", "||", "->", "<->")
         seen = {kind: 0 for kind in kinds}
         seen.update({"64-bit edge": 0, "undefined": 0, "non-contiguous": 0, "raises": 0, "unknown unreached": 0})
         for trial in range(1000):
@@ -455,7 +483,7 @@ class TestCompileDifferential:
             below = list(nodes(e))
             read = {n.name for n in below if isinstance(n, Var)}
             domains = [universe.domain(name) for name in read if name in universe]
-            for kind in {type(n) for n in below} & set(seen):
+            for kind in {kind_of(n) for n in below} & set(seen):
                 seen[kind] += 1
             seen["64-bit edge"] += any(
                 isinstance(n, Const) and n.value in (INT64_MIN, INT64_MAX) for n in below

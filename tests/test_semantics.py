@@ -9,13 +9,12 @@ from scalc.errors import SpaceMismatchError
 from scalc.hoare import check_total, program_wp
 from scalc.predicates import (
     UNDEFINED,
-    Add,
+    Arith,
     BoolConst,
     Cmp,
+    Conn,
     Const,
-    Mul,
     Not,
-    Or,
     PredSet,
     Var,
     compile_pred,
@@ -179,7 +178,7 @@ def relation_stmt(relation: Relation) -> Stmt:
         arms = [Cmp("==", Var(var), Const(v)) for j, v in enumerate(dom.values) if relation.has_pair(i, j)]
         row = arms[0] if arms else BoolConst(False)
         for arm in arms[1:]:
-            row = Or(row, arm)
+            row = Conn("||", row, arm)
         body = Seq((Decl(var, "int"), IfThenElse(Not(row), Assign(var, outside), Nop())))
         out = IfThenElse(Cmp("==", Var(var), Const(dom.values[i])), body, out)
     return out
@@ -255,7 +254,7 @@ class TestAssign:
 
     def test_factorial_step(self):
         sp = loop_space()
-        r = denote(Assign("f", Mul(Var("f"), Var("i"))), sp)
+        r = denote(Assign("f", Arith("*", Var("f"), Var("i"))), sp)
         start = singleton(sp, i=2, n=4, f=1)
         (i0,) = start.indices()
         (j,) = (j for _, j in r.pairs() if _ == i0)
@@ -263,13 +262,13 @@ class TestAssign:
 
     def test_out_of_domain_result_has_no_successor(self):
         sp = build_space(VarUniverse((("i", int_range_domain("i", 0, 7)),)))
-        r = denote(Assign("i", Add(Var("i"), Const(1))), sp)
+        r = denote(Assign("i", Arith("+", Var("i"), Const(1))), sp)
         assert r.succ[7] == 0
         assert r.succ[3] == 1 << 4
 
     def test_overflow_has_no_successor(self):
         sp = build_space(VarUniverse((("i", int_range_domain("i", -2, 2)),)))
-        r = denote(Assign("i", Mul(Var("i"), Const(1 << 62))), sp)
+        r = denote(Assign("i", Arith("*", Var("i"), Const(1 << 62))), sp)
         # i * 2^62 overflows 64 bits at i == 2 and leaves the domain at every
         # other value but 0
         assert [i for i in range(sp.size) if r.succ[i]] == [2]

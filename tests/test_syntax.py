@@ -7,18 +7,13 @@ from scalc.errors import NestingTooDeepError, ScalcSyntaxError, UndeclaredVariab
 from scalc.predicates import (
     INT64_MAX,
     INT64_MIN,
-    Add,
-    And,
+    Arith,
     BoolConst,
     Cmp,
+    Conn,
     Const,
-    Iff,
-    Implies,
-    Mul,
     Neg,
     Not,
-    Or,
-    Sub,
     Var,
     compile_arith,
 )
@@ -69,8 +64,8 @@ class TestParsePrograms:
             Cmp("<=", Var("i"), Var("n")),
             Seq(
                 (
-                    Assign("f", Mul(Var("f"), Var("i"))),
-                    Assign("i", Add(Var("i"), Const(1))),
+                    Assign("f", Arith("*", Var("f"), Var("i"))),
+                    Assign("i", Arith("+", Var("i"), Const(1))),
                 )
             ),
         )
@@ -83,19 +78,19 @@ class TestParsePrograms:
 
     def test_compound_assignment_sugar(self):
         assert parse_program("f *= i;", predeclared=("f", "i")) == Assign(
-            "f", Mul(Var("f"), Var("i"))
+            "f", Arith("*", Var("f"), Var("i"))
         )
         assert parse_program("i += 2;", predeclared=("i",)) == Assign(
-            "i", Add(Var("i"), Const(2))
+            "i", Arith("+", Var("i"), Const(2))
         )
         assert parse_program("i -= 2;", predeclared=("i",)) == Assign(
-            "i", Sub(Var("i"), Const(2))
+            "i", Arith("-", Var("i"), Const(2))
         )
         assert parse_program("i++;", predeclared=("i",)) == Assign(
-            "i", Add(Var("i"), Const(1))
+            "i", Arith("+", Var("i"), Const(1))
         )
         assert parse_program("i--;", predeclared=("i",)) == Assign(
-            "i", Sub(Var("i"), Const(1))
+            "i", Arith("-", Var("i"), Const(1))
         )
 
     def test_sugared_loop_matches_expanded_form(self):
@@ -177,40 +172,42 @@ class TestParsePrograms:
 class TestParsePredicates:
     def test_precedence_chain(self):
         got = parse_pred("a == 1 && a < 2 || !(a > 3)", declared=("a",))
-        want = Or(
-            And(Cmp("==", Var("a"), Const(1)), Cmp("<", Var("a"), Const(2))),
+        want = Conn(
+            "||",
+            Conn("&&", Cmp("==", Var("a"), Const(1)), Cmp("<", Var("a"), Const(2))),
             Not(Cmp(">", Var("a"), Const(3))),
         )
         assert got == want
 
     def test_implication_right_associative(self):
         got = parse_pred("true -> false -> true")
-        assert got == Implies(
-            BoolConst(True), Implies(BoolConst(False), BoolConst(True))
+        assert got == Conn(
+            "->", BoolConst(True), Conn("->", BoolConst(False), BoolConst(True))
         )
 
     def test_iff_left_associative_and_loosest(self):
         got = parse_pred("true <-> false -> false <-> true")
-        assert got == Iff(
-            Iff(BoolConst(True), Implies(BoolConst(False), BoolConst(False))),
+        assert got == Conn(
+            "<->",
+            Conn("<->", BoolConst(True), Conn("->", BoolConst(False), BoolConst(False))),
             BoolConst(True),
         )
 
     def test_parenthesized_predicate_vs_arith(self):
         got = parse_pred("(a + 1) > 2", declared=("a",))
-        assert got == Cmp(">", Add(Var("a"), Const(1)), Const(2))
+        assert got == Cmp(">", Arith("+", Var("a"), Const(1)), Const(2))
         got = parse_pred("(a > 2)", declared=("a",))
         assert got == Cmp(">", Var("a"), Const(2))
 
     def test_arith_precedence(self):
-        assert parse_arith("1 + 2 * 3") == Add(Const(1), Mul(Const(2), Const(3)))
-        assert parse_arith("(1 + 2) * 3") == Mul(Add(Const(1), Const(2)), Const(3))
-        assert parse_arith("1 - 2 - 3") == Sub(Sub(Const(1), Const(2)), Const(3))
+        assert parse_arith("1 + 2 * 3") == Arith("+", Const(1), Arith("*", Const(2), Const(3)))
+        assert parse_arith("(1 + 2) * 3") == Arith("*", Arith("+", Const(1), Const(2)), Const(3))
+        assert parse_arith("1 - 2 - 3") == Arith("-", Arith("-", Const(1), Const(2)), Const(3))
 
     def test_unary_minus(self):
         assert parse_arith("-5") == Const(-5)
         assert parse_arith("-x", declared=("x",)) == Neg(Var("x"))
-        assert parse_arith("3 - -2") == Sub(Const(3), Const(-2))
+        assert parse_arith("3 - -2") == Arith("-", Const(3), Const(-2))
 
     def test_undeclared_in_predicate(self):
         with pytest.raises(UndeclaredVariableError):
@@ -285,8 +282,8 @@ def random_arith(rng, vars_, depth):
     kind = rng.randrange(4)
     if kind == 3:
         return Neg(random_arith(rng, vars_, depth - 1))
-    ctor = (Add, Sub, Mul)[kind]
-    return ctor(random_arith(rng, vars_, depth - 1), random_arith(rng, vars_, depth - 1))
+    op = ("+", "-", "*")[kind]
+    return Arith(op, random_arith(rng, vars_, depth - 1), random_arith(rng, vars_, depth - 1))
 
 
 def random_cond(rng, vars_, depth):
@@ -298,8 +295,8 @@ def random_cond(rng, vars_, depth):
     kind = rng.randrange(5)
     if kind == 0:
         return Not(random_cond(rng, vars_, depth - 1))
-    ctor = (And, Or, Implies, Iff)[kind - 1]
-    return ctor(random_cond(rng, vars_, depth - 1), random_cond(rng, vars_, depth - 1))
+    op = ("&&", "||", "->", "<->")[kind - 1]
+    return Conn(op, random_cond(rng, vars_, depth - 1), random_cond(rng, vars_, depth - 1))
 
 
 def random_stmt(rng, vars_, depth):
@@ -384,7 +381,7 @@ def test_a_minus_over_a_literal_prints_as_text_that_parses(k):
     tower = [Const(k)]
     while len(tower) < 4:
         tower.append(Neg(tower[-1]))
-    for e in (*tower, *(Add(Var("x"), t) for t in tower)):
+    for e in (*tower, *(Arith("+", Var("x"), t) for t in tower)):
         text = expr_to_str(e)
         back = parse_arith(text, declared=("x",))
         assert back == e, text

@@ -16,7 +16,7 @@ import pytest
 
 from scalc.cli import main
 from scalc.hoare import Report, program_wp, verify
-from scalc.predicates import BoolConst, Cmp, Const, Mul, Var
+from scalc.predicates import Arith, BoolConst, Cmp, Const, Var
 from scalc.semantics import denote, successors
 from scalc.specfile import load_task
 from scalc.state_space import Domain, VarUniverse, build_space, int_range_domain
@@ -217,7 +217,7 @@ def test_loops_that_diverge_from_some_states():
 
 def test_overflow_and_out_of_domain_assignments_are_stuck():
     space = space_abc()
-    overflow = Assign("a", Mul(Var("a"), Const(1 << 62)))  # UNDEFINED for |a| >= 2
+    overflow = Assign("a", Arith("*", Var("a"), Const(1 << 62)))  # UNDEFINED for |a| >= 2
     programs = [
         overflow,
         Seq((Decl("a", "int"), overflow)),
