@@ -1,7 +1,12 @@
 """First-order formulas over a finite state space (S-formulas).
 
-Formula variables range over *states* (by index).  Unary symbols are bound
-to PredSets and binary symbols to Relations by an environment.
+An S-formula is a predicate expression (`predicates.PredExpr`) over the
+atoms P(x) and S(x, y) and the quantifiers: it shares `Not`, `Conn` and
+`BoolConst` with the program's predicates.  Formula variables range over
+*states* (by index).  Unary symbols are bound to PredSets and binary
+symbols to Relations by an environment; nothing else is bound by
+convention, and the always-true and always-false predicates are the
+constants `BoolConst(True)` and `BoolConst(False)`.
 `compile_lanes` turns a formula once into mask operations: a subformula
 with k free variables is the set of its satisfying valuations, a mask of
 n**k bits; connectives are integer operations, and a quantifier combines
@@ -17,21 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .errors import ArityMismatchError, UnboundStateVariableError, UnboundSymbolError
-from .predicates import OPERATORS, Conn, PredSet
+from .predicates import BoolConst, Conn, Not, PredExpr, PredSet, subexpressions
 from .semantics import Relation
 from .state_space import StateSpace
 
-
-@dataclass(frozen=True)
-class SFormula:
-    pass
+SFormula = PredExpr  # for type hints: an S-formula is a predicate expression
 
 
 @dataclass(frozen=True)
-class PredApp(SFormula):
+class PredApp(PredExpr):
     """P(x): the state bound to x lies in the set bound to P."""
 
     symbol: str
@@ -39,7 +41,7 @@ class PredApp(SFormula):
 
 
 @dataclass(frozen=True)
-class RelApp(SFormula):
+class RelApp(PredExpr):
     """S(x, y): the pair of states bound to (x, y) lies in the relation bound to S."""
 
     symbol: str
@@ -48,51 +50,22 @@ class RelApp(SFormula):
 
 
 @dataclass(frozen=True)
-class FNot(SFormula):
-    operand: SFormula
-
-
-CONNECTIVES = tuple(op.token for op in OPERATORS if op.node is Conn)
-
-
-@dataclass(frozen=True)
-class FConn(SFormula):
-    """left op right, for op one of the predicates' connectives `CONNECTIVES`."""
-
-    op: str
-    left: SFormula
-    right: SFormula
-
-    def __post_init__(self):
-        if self.op not in CONNECTIVES:
-            raise ValueError(f"bad FConn operator {self.op!r}")
-
-
-@dataclass(frozen=True)
-class Quant(SFormula):
+class Quant(PredExpr):
     """forall var. body, or exists var. body: op is "forall" or "exists"."""
 
     op: str
     var: str
-    body: SFormula
+    body: PredExpr
 
     def __post_init__(self):
         if self.op not in ("forall", "exists"):
             raise ValueError(f"bad Quant operator {self.op!r}")
 
 
-def subformulas(f: SFormula) -> Iterator[SFormula]:
-    """f and every formula below it, left operands first."""
-    yield f
-    for child in vars(f).values():
-        if isinstance(child, SFormula):
-            yield from subformulas(child)
-
-
 def symbol_arities(f: SFormula) -> dict[str, int]:
     """Map each symbol to 1 (predicate) or 2 (relation); mixed use raises."""
     out: dict[str, int] = {}
-    for g in subformulas(f):
+    for g in subexpressions(f):
         if isinstance(g, (PredApp, RelApp)):
             arity = 1 if isinstance(g, PredApp) else 2
             prev = out.setdefault(g.symbol, arity)
@@ -161,7 +134,7 @@ def free_vars(f: SFormula) -> frozenset[str]:
     return frozenset(compile_sformula(f)[0])
 
 
-@lru_cache(maxsize=1024)  # laws share subformulas, such as a triple, and so their evaluators
+@lru_cache(maxsize=1024)  # laws share parts, such as a triple, and so their evaluators
 def _compile(f: SFormula, scope: tuple[str, ...]) -> tuple[tuple[str, ...], LaneEvaluator, int]:
     """`scope` lists the variables bound around f, outermost first.  A
     node's variables are ordered outermost binder first, above the lane
@@ -176,12 +149,16 @@ def _compile(f: SFormula, scope: tuple[str, ...]) -> tuple[tuple[str, ...], Lane
         fv = _order({f.var1, f.var2}, scope)
         return fv, _align((f.var1, f.var2), lambda env, n, L: env[sym], fv), 2
 
-    if isinstance(f, FNot):
+    if isinstance(f, BoolConst):
+        value = f.value
+        return (), lambda env, n, L: (1 << L) - 1 if value else 0, 0
+
+    if isinstance(f, Not):
         fv, g, width = _compile(f.operand, scope)
         k = len(fv)
         return fv, lambda env, n, L: g(env, n, L) ^ (1 << L * n**k) - 1, width
 
-    if isinstance(f, FConn):
+    if isinstance(f, Conn):
         lv, l, lw = _compile(f.left, scope)
         rv, r, rw = _compile(f.right, scope)
         fv = _order(set(lv) | set(rv), scope)
@@ -276,22 +253,22 @@ def _at(p: OnePlace, v: str) -> SFormula:
 def _wlp(rel: str, post: OnePlace, x: str) -> SFormula:
     """Every S-successor of x satisfies Q."""
     y = x + "'"
-    return Quant("forall", y, FConn("->", RelApp(rel, x, y), _at(post, y)))
+    return Quant("forall", y, Conn("->", RelApp(rel, x, y), _at(post, y)))
 
 
 def wp_formula(rel: str, post: OnePlace, x: str = "x") -> SFormula:
     """wp(S, Q) with free variable x: x has an S-successor, and every
     S-successor of x satisfies Q (Dijkstra 1975)."""
-    return FConn("&&", Quant("exists", x + "'", RelApp(rel, x, x + "'")), _wlp(rel, post, x))
+    return Conn("&&", Quant("exists", x + "'", RelApp(rel, x, x + "'")), _wlp(rel, post, x))
 
 
 def ht_total(pre: OnePlace, rel: str, post: OnePlace) -> SFormula:
     """The total-correctness triple {P} S {Q}:
     forall x. P(x) -> (exists y. S(x,y)) and forall y. (S(x,y) -> Q(y))."""
-    return Quant("forall", "x", FConn("->", _at(pre, "x"), wp_formula(rel, post)))
+    return Quant("forall", "x", Conn("->", _at(pre, "x"), wp_formula(rel, post)))
 
 
 def ht_partial(pre: OnePlace, rel: str, post: OnePlace) -> SFormula:
     """The partial-correctness triple {P} S {Q}:
     forall x. P(x) -> forall y. (S(x,y) -> Q(y))."""
-    return Quant("forall", "x", FConn("->", _at(pre, "x"), _wlp(rel, post, "x")))
+    return Quant("forall", "x", Conn("->", _at(pre, "x"), _wlp(rel, post, "x")))

@@ -4,8 +4,11 @@ Every registered law is a closed S-formula (see `formulas`).  The laws
 about total-correctness triples and weakest preconditions are stated
 through the paper's definitions, `formulas.ht_total` and
 `formulas.wp_formula`, over one relation symbol S; the quantifier schemas
-are plain first-order templates.  Each formula is checked and compiled once,
-when it is registered, and its compiled masks run on every trial.
+are plain first-order templates.  The always-true and always-false
+predicates tau and phi are the constants `BoolConst(True)` and
+`BoolConst(False)`, so a trial binds only the formula's own symbols and
+nothing by convention.  Each formula is checked and compiled once, when it
+is registered, and its compiled masks run on every trial.
 Laws are checked on small abstract spaces with three binding strategies:
 
 * forced boundary bindings (empty/full predicate sets; empty/full/identity
@@ -36,8 +39,6 @@ from operator import itemgetter
 from .errors import TooManyBindingsError, UnboundStateVariableError, UnknownLawError
 from .formulas import (
     Binding,
-    FConn,
-    FNot,
     LaneEvaluator,
     PredApp,
     Quant,
@@ -48,7 +49,7 @@ from .formulas import (
     symbol_arities,
     wp_formula,
 )
-from .predicates import PredSet
+from .predicates import BoolConst, Conn, Not, PredSet
 from .rng import SplitMix64, derive_seeds, lane_bits
 from .semantics import Relation
 from .state_space import Domain, StateSpace, VarUniverse, build_space
@@ -59,8 +60,6 @@ DEFAULT_SIZES = (1, 2, 3, 4)
 EXHAUSTIVE_LIMIT = 5000
 _EXHAUSTIVE_HARD_CAP = 1 << 20
 LANE_BITS = 1 << 16  # a chunk holds as many lanes as keep its widest mask within this
-# symbols every trial binds alike: the full and the empty predicate set
-FIXED = {"tau": PredSet.full, "phi": PredSet.empty}
 
 
 @lru_cache(maxsize=None)
@@ -95,7 +94,6 @@ class Law:
     rel_symbols: tuple[str, ...]
     lanes: LaneEvaluator
     width: int  # variables of the widest mask the evaluation makes
-    fixed: tuple[str, ...] = ()
     expect_violations: bool = False
 
 
@@ -146,8 +144,7 @@ class LawResult:
                 labels = (f"{law.name}/{n}/{idx}" for idx in replays)
                 replays = struct.unpack(f"<{len(hits)}Q", derive_seeds(self.seed, labels))
             for t, inst_seed in zip(hits, replays):
-                env = {sym: FIXED[sym](n) for sym in law.fixed}
-                env.update((sym, _decode(p, t, space, a)) for sym, p, a in zip(symbols, planes, arities))
+                env = {sym: _decode(p, t, space, a) for sym, p, a in zip(symbols, planes, arities)}
                 bindings = tuple(sorted(env.items()))
                 instances.append(LawInstance(law.name, n, f"{phase}-{t0 + t}", inst_seed, bindings))
         return tuple(instances)
@@ -158,10 +155,9 @@ LAWS: dict[str, Law] = {}
 
 def _register(name: str, title: str, formula: SFormula, expect_violations: bool = False):
     """Register the law that the closed `formula` holds.  Each trial binds
-    exactly the formula's own symbols, at their arities and over the
-    trial's space (the `FIXED` ones as that table says), so the formula is
-    checked and compiled here once, and every trial runs the compiled
-    masks without `eval_sformula`'s checks."""
+    exactly the formula's own symbols, at their arities and over the trial's
+    space, so the formula is checked and compiled here once, and every trial
+    runs the compiled masks without `eval_sformula`'s checks."""
     fv, lanes, width = compile_lanes(formula)
     if fv:
         raise UnboundStateVariableError(fv[0])
@@ -170,11 +166,10 @@ def _register(name: str, title: str, formula: SFormula, expect_violations: bool 
         name,
         title,
         formula,
-        tuple(sorted(sym for sym, a in arities.items() if a == 1 and sym not in FIXED)),
+        tuple(sorted(sym for sym, a in arities.items() if a == 1)),
         tuple(sorted(sym for sym, a in arities.items() if a == 2)),
         lanes,
         width,
-        tuple(sym for sym in FIXED if sym in arities),
         expect_violations,
     )
 
@@ -189,28 +184,28 @@ def _p(sym: str):
 
 
 def _or(a, b):
-    return lambda v: FConn("||", a(v), b(v))
+    return lambda v: Conn("||", a(v), b(v))
 
 
 def _and(a, b):
-    return lambda v: FConn("&&", a(v), b(v))
+    return lambda v: Conn("&&", a(v), b(v))
 
 
 def _not(a):
-    return lambda v: FNot(a(v))
+    return lambda v: Not(a(v))
 
 
 def _subset(a, b) -> SFormula:
-    return Quant("forall", "x", FConn("->", a("x"), b("x")))
+    return Quant("forall", "x", Conn("->", a("x"), b("x")))
 
 
 def _empty(a) -> SFormula:
-    return Quant("forall", "x", FNot(a("x")))
+    return Quant("forall", "x", Not(a("x")))
 
 
 def _catalog() -> list[tuple[str, str, SFormula]]:
-    A, O, I, E = (partial(FConn, op) for op in ("&&", "||", "->", "<->"))
-    N, fa, ex = FNot, partial(Quant, "forall"), partial(Quant, "exists")
+    A, O, I, E = (partial(Conn, op) for op in ("&&", "||", "->", "<->"))
+    N, fa, ex = Not, partial(Quant, "forall"), partial(Quant, "exists")
     P, Q, R, U, V, W = map(_p, "PQRUVW")
 
     def ht(pre, post):
@@ -227,7 +222,8 @@ def _catalog() -> list[tuple[str, str, SFormula]]:
     bad_pair = ex(x, ex(y, A(s(x, y), N(Q(y)))))
     exclusive = I(ht(_not(P), Q), N(ht(P, Q)))
     F, G, H, K = (PredApp(c, x) for c in "FGHK")
-    tau, phi = PredApp("tau", x), PredApp("phi", x)
+    tau, phi = BoolConst(True), BoolConst(False)
+    true, false = (lambda v: tau), (lambda v: phi)  # as one-place predicates
     closed = ex(u, PredApp("F", u))
     return [
         ("thm3.1a", "strengthening the precondition preserves a triple",
@@ -241,7 +237,7 @@ def _catalog() -> list[tuple[str, str, SFormula]]:
         ("thm3.2b", "two triples over one program conjoin pointwise",
          I(A(ht(P, Q), ht(R, W)), ht(_and(P, R), _and(Q, W)))),
         ("cor3.1", "case split over a predicate and its negation covers every state",
-         I(A(ht(P, Q), ht(_not(P), W)), ht("tau", _or(Q, W)))),
+         I(A(ht(P, Q), ht(_not(P), W)), ht(true, _or(Q, W)))),
         ("thm3.3", "either of two triples bounds the conjoined-precondition triple",
          I(O(ht(P, Q), ht(R, W)), ht(_and(P, R), _or(Q, W)))),
         ("thm3.4a", "a disjunctive precondition splits into two triples",
@@ -253,7 +249,7 @@ def _catalog() -> list[tuple[str, str, SFormula]]:
         ("thm3.4d", "either postcondition alternative implies their disjunction",
          I(O(ht(P, Q), ht(P, W)), ht(P, _or(Q, W)))),
         ("thm3.5", "only an unsatisfiable precondition establishes the false postcondition",
-         E(ht(P, "phi"), _empty(P))),
+         E(ht(P, false), _empty(P))),
         ("thm3.6a", "contradictory postconditions exclude overlapping preconditions",
          I(A(ht(P, Q), ht(R, _not(Q))), _empty(_and(P, R)))),
         ("thm3.6b", "one precondition establishing Q and not-Q must be unsatisfiable",
@@ -269,7 +265,7 @@ def _catalog() -> list[tuple[str, str, SFormula]]:
         ("cor3.3", "satisfiable precondition, stated as non-equivalence with falsehood",
          E(I(ht(P, _not(Q)), N(ht(P, Q))), N(_empty(P)))),
         ("thm5.2", "wp of the false postcondition is empty",
-         _empty(wp("phi"))),
+         _empty(wp(false))),
         ("thm5.3", "wp is monotone in the postcondition",
          I(_subset(Q, R), _subset(wp(Q), wp(R)))),
         ("thm5.4", "wp distributes over conjunction exactly",
@@ -467,8 +463,6 @@ def check_law(
                 L = min(lanes, number - t0)
                 planes = [planes_of(j, t0, L) for j in range(len(symbols))]
                 masks = {sym: _pack(p, n, a) for sym, p, a in zip(symbols, planes, arities)}
-                # a fixed set is the same in every lane: full or empty over n*L bits
-                masks.update((sym, FIXED[sym](n * L).mask) for sym in law.fixed)
                 ok = law.lanes(masks, n, L)
                 if ok.bit_count() < L:
                     failed += L - ok.bit_count()

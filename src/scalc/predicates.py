@@ -48,7 +48,6 @@ ArithValue = Union[int, _Undefined]
 # expression ASTs
 
 
-@dataclass(frozen=True)
 class ArithExpr:
     pass
 
@@ -85,7 +84,6 @@ class Neg(ArithExpr):
     operand: ArithExpr
 
 
-@dataclass(frozen=True)
 class PredExpr:
     pass
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SpecFileError
-from .predicates import BoolConst, PredExpr
+from .predicates import PredExpr
 from .state_space import VarUniverse, int_range_domain
 from .syntax import Stmt, declared_vars, parse_pred, parse_program
 

@@ -71,7 +71,6 @@ _PRED, _ARITH = 0, CMP_LEVEL + 1
 # statement AST
 
 
-@dataclass(frozen=True)
 class Stmt:
     pass
 

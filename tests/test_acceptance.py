@@ -7,7 +7,6 @@ test.  Budgets are wall-clock and generous; the measured times are far
 below them.
 """
 
-import json
 import os
 import random
 import subprocess
@@ -26,7 +25,7 @@ from scalc.laws import (
     registered_laws,
     run_laws,
 )
-from scalc.predicates import BoolConst, Cmp, Conn, Const, PredSet, Var, pred_to_set
+from scalc.predicates import BoolConst, Cmp, Conn, Const, Var
 from scalc.semantics import denote
 from scalc.specfile import load_task
 from scalc.state_space import build_space

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from scalc.errors import UnsupportedForExportError
-from scalc.export import VCDocument, export_vc, select_logic
+from scalc.export import export_vc, select_logic
 from scalc.hoare import verify
 from scalc.predicates import (
     Arith,

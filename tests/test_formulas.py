@@ -14,8 +14,6 @@ from scalc.errors import (
     UnboundSymbolError,
 )
 from scalc.formulas import (
-    FConn,
-    FNot,
     PredApp,
     Quant,
     RelApp,
@@ -31,7 +29,7 @@ from scalc.formulas import (
 )
 from scalc.hoare import check_partial, check_total, wp
 from scalc.laws import abstract_space, random_predset, random_relation
-from scalc.predicates import PredSet
+from scalc.predicates import BoolConst, Cmp, Conn, Const, Not, PredSet, Var, compile_pred, pred_to_set
 from scalc.semantics import Relation, identity_relation
 from scalc.state_space import Domain, StateSpace, VarUniverse
 
@@ -42,21 +40,23 @@ def reference_eval(f, env, space, assign):
         return assign[f.var] in env[f.symbol]
     if isinstance(f, RelApp):
         return env[f.symbol].has_pair(assign[f.var1], assign[f.var2])
-    if isinstance(f, FNot):
+    if isinstance(f, BoolConst):
+        return f.value
+    if isinstance(f, Not):
         return not reference_eval(f.operand, env, space, assign)
-    if isinstance(f, FConn) and f.op == "&&":
+    if isinstance(f, Conn) and f.op == "&&":
         return reference_eval(f.left, env, space, assign) and reference_eval(
             f.right, env, space, assign
         )
-    if isinstance(f, FConn) and f.op == "||":
+    if isinstance(f, Conn) and f.op == "||":
         return reference_eval(f.left, env, space, assign) or reference_eval(
             f.right, env, space, assign
         )
-    if isinstance(f, FConn) and f.op == "->":
+    if isinstance(f, Conn) and f.op == "->":
         return (not reference_eval(f.left, env, space, assign)) or reference_eval(
             f.right, env, space, assign
         )
-    if isinstance(f, FConn) and f.op == "<->":
+    if isinstance(f, Conn) and f.op == "<->":
         return reference_eval(f.left, env, space, assign) == reference_eval(
             f.right, env, space, assign
         )
@@ -76,7 +76,7 @@ def reference_eval(f, env, space, assign):
 class TestPinnedFormulas:
     def test_self_implication_tautology(self):
         sp = abstract_space(3)
-        f = Quant("forall", "x", FConn("->", PredApp("P", "x"), PredApp("P", "x")))
+        f = Quant("forall", "x", Conn("->", PredApp("P", "x"), PredApp("P", "x")))
         for mask in range(8):
             assert eval_sformula(f, {"P": PredSet(3, mask)}, sp)
 
@@ -86,7 +86,7 @@ class TestPinnedFormulas:
         assert eval_sformula(f, {"S": identity_relation(sp)}, sp)
 
     def test_quantifier_swap_500_random_relations(self):
-        f = FConn(
+        f = Conn(
             "->",
             Quant("exists", "x", Quant("forall", "y", RelApp("S", "x", "y"))),
             Quant("forall", "y", Quant("exists", "x", RelApp("S", "x", "y"))),
@@ -111,9 +111,9 @@ class TestShadowing:
         f = Quant(
             "exists",
             "x",
-            FConn(
+            Conn(
                 "&&",
-                FConn("&&", PredApp("P", "x"), Quant("forall", "x", PredApp("Q", "x"))),
+                Conn("&&", PredApp("P", "x"), Quant("forall", "x", PredApp("Q", "x"))),
                 PredApp("P", "x"),
             ),
         )
@@ -144,7 +144,7 @@ class TestErrors:
         f = Quant(
             "forall",
             "x",
-            Quant("forall", "y", FConn("&&", PredApp("S", "x"), RelApp("S", "x", "y"))),
+            Quant("forall", "y", Conn("&&", PredApp("S", "x"), RelApp("S", "x", "y"))),
         )
         with pytest.raises(ArityMismatchError):
             symbol_arities(f)
@@ -155,6 +155,18 @@ class TestErrors:
         with pytest.raises(ValueError):
             eval_sformula(f, {"P": PredSet.full(2)}, sp)
 
+    def test_formula_atoms_and_program_atoms_do_not_mix(self):
+        # formulas share the connectives of program predicates, not their atoms
+        sp = abstract_space(2)
+        formula = Conn("&&", PredApp("P", "s"), PredApp("Q", "s"))
+        with pytest.raises(TypeError):
+            compile_pred(formula, sp)
+        with pytest.raises(TypeError):
+            pred_to_set(formula, sp)
+        for atom in (Cmp("==", Var("s"), Const(0)), Var("s")):
+            with pytest.raises(TypeError):
+                compile_lanes(Quant("forall", "x", Conn("||", PredApp("P", "x"), atom)))
+
 
 class TestFreeVars:
     def test_free_and_bound(self):
@@ -163,7 +175,7 @@ class TestFreeVars:
         assert free_vars(Quant("forall", "y", f)) == frozenset()
 
     def test_arities(self):
-        f = Quant("forall", "x", FConn("&&", PredApp("P", "x"), Quant("exists", "y", RelApp("S", "x", "y"))))
+        f = Quant("forall", "x", Conn("&&", PredApp("P", "x"), Quant("exists", "y", RelApp("S", "x", "y"))))
         assert symbol_arities(f) == {"P": 1, "S": 2}
 
 
@@ -171,18 +183,21 @@ def random_formula(rng, bound, depth):
     """A random formula whose atoms only mention variables in `bound`; with
     no bound variables yet, force a quantifier so the result is closed."""
     if depth == 0 and bound:
-        if rng.random() < 0.5:
+        leaf = rng.random()
+        if leaf < 0.4:
             return PredApp(rng.choice("PQ"), rng.choice(bound))
-        return RelApp("S", rng.choice(bound), rng.choice(bound))
+        if leaf < 0.8:
+            return RelApp("S", rng.choice(bound), rng.choice(bound))
+        return BoolConst(rng.random() < 0.5)
     if not bound or rng.random() < 0.35:
         var = rng.choice("uvw")
         op = "forall" if rng.random() < 0.5 else "exists"
         return Quant(op, var, random_formula(rng, bound + (var,), max(depth - 1, 0)))
     kind = rng.randrange(5)
     if kind == 0:
-        return FNot(random_formula(rng, bound, depth - 1))
+        return Not(random_formula(rng, bound, depth - 1))
     op = ("&&", "||", "->", "<->")[kind - 1]
-    return FConn(
+    return Conn(
         op, random_formula(rng, bound, depth - 1), random_formula(rng, bound, depth - 1)
     )
 

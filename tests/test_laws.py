@@ -13,11 +13,10 @@ import pytest
 
 from scalc import laws
 from scalc.errors import ArityMismatchError, UnboundStateVariableError, UnknownLawError
-from scalc.formulas import FConn, PredApp, Quant, RelApp, compile_sformula, eval_sformula, free_vars
+from scalc.formulas import PredApp, Quant, RelApp, compile_sformula, eval_sformula, free_vars
 from scalc.hoare import check_total, wp
 from scalc.laws import (
     EXHAUSTIVE_LIMIT,
-    FIXED,
     LANE_BITS,
     LAWS,
     LawInstance,
@@ -31,7 +30,7 @@ from scalc.laws import (
     registered_laws,
     run_laws,
 )
-from scalc.predicates import PredSet
+from scalc.predicates import Conn, PredSet
 from scalc.rng import derive_seed
 from scalc.semantics import Relation, empty_relation, full_relation, identity_relation
 from scalc.state_space import Domain, StateSpace, VarUniverse
@@ -40,19 +39,13 @@ from scalc.state_space import Domain, StateSpace, VarUniverse
 # the per-binding reference: each binding built as objects and run alone
 
 
-def _fixed_env(law, space):
-    return {sym: FIXED[sym](space.size) for sym in law.fixed}
-
-
 def _boundary_envs(law, space):
     pred_options = [PredSet.empty(space.size), PredSet.full(space.size)]
     rel_options = [empty_relation(space), full_relation(space), identity_relation(space)]
     option_lists = [pred_options] * len(law.pred_symbols) + [rel_options] * len(law.rel_symbols)
     symbols = law.pred_symbols + law.rel_symbols
     for combo in itertools.product(*option_lists):
-        env = _fixed_env(law, space)
-        env.update(zip(symbols, combo))
-        yield env
+        yield dict(zip(symbols, combo))
 
 
 def _exhaustive_envs(law, space):
@@ -61,7 +54,7 @@ def _exhaustive_envs(law, space):
     symbols = law.pred_symbols + law.rel_symbols
     row_mask = (1 << n) - 1
     for combo in itertools.product(*ranges):
-        env = _fixed_env(law, space)
+        env = {}
         for sym, code in zip(symbols, combo):
             if sym in law.pred_symbols:
                 env[sym] = PredSet(n, code)
@@ -71,7 +64,7 @@ def _exhaustive_envs(law, space):
 
 
 def _random_env(law, space, seed, trial):
-    env = _fixed_env(law, space)
+    env = {}
     for sym in law.pred_symbols + law.rel_symbols:
         draw = random_predset if sym in law.pred_symbols else random_relation
         env[sym] = draw(space, derive_seed(seed, f"{law.name}/{space.size}/{trial}/{sym}"))
@@ -158,7 +151,7 @@ class TestRegistry:
     def test_thm5_7_holds_by_construction(self):
         # `ht_total` is built from `wp_formula`, so the law reads A <-> A
         law = get_law("thm5.7")
-        assert isinstance(law.formula, FConn) and law.formula.op == "<->"
+        assert isinstance(law.formula, Conn) and law.formula.op == "<->"
         assert law.formula.left == law.formula.right, (
             "thm5.7 is no longer A <-> A: if ROADMAP item 5 restated a side "
             "through an independent wp, update this test and the README"
@@ -172,7 +165,7 @@ class TestRegistry:
         "template, error",
         [
             (Quant("forall", "x", RelApp("S", "x", "y")), UnboundStateVariableError),
-            (Quant("forall", "x", FConn("&&", PredApp("S", "x"), RelApp("S", "x", "x"))), ArityMismatchError),
+            (Quant("forall", "x", Conn("&&", PredApp("S", "x"), RelApp("S", "x", "x"))), ArityMismatchError),
         ],
         ids=["free-state-variable", "two-arities"],
     )

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from scalc import predicates
 from scalc.errors import UnknownVariableError
-from scalc.formulas import FConn, PredApp, Quant
+from scalc.formulas import PredApp, Quant
 from scalc.hoare import verify
 from scalc.predicates import (
     CMP_LEVEL,
@@ -214,22 +214,27 @@ class TestEvalPred:
 
 
 class TestOperatorTokens:
+    x, p, t, f = Var("x"), PredApp("P", "x"), BoolConst(True), BoolConst(False)
+
     @pytest.mark.parametrize(
-        "node, token",
+        "node, token, operands",
         [
-            (Cmp, "==="), (Cmp, "->"),
-            (Arith, "/"), (Arith, "&&"),
-            (Conn, "and"), (Conn, "+"),
-            (FConn, "and"), (FConn, "=="),
-            (Quant, "all"), (Quant, "&&"),
+            pytest.param(Cmp, "===", (x, x), id="Cmp-==="),
+            pytest.param(Cmp, "->", (x, x), id="Cmp-->"),
+            pytest.param(Arith, "/", (x, x), id="Arith-/"),
+            pytest.param(Arith, "&&", (x, x), id="Arith-&&"),
+            pytest.param(Conn, "and", (t, f), id="Conn-and"),
+            pytest.param(Conn, "+", (t, f), id="Conn-+"),
+            pytest.param(Conn, "and", (p, p), id="Conn-and-over-formulas"),
+            pytest.param(Conn, "==", (p, p), id="Conn-==-over-formulas"),
+            pytest.param(Quant, "all", ("x", p), id="Quant-all"),
+            pytest.param(Quant, "&&", ("x", p), id="Quant-&&"),
         ],
     )
-    def test_a_node_refuses_a_token_not_its_own(self, node, token):
+    def test_a_node_refuses_a_token_not_its_own(self, node, token, operands):
         # an unchecked token would compile as some other operator
-        p, x = PredApp("P", "x"), Var("x")
-        operands = {Cmp: (x, x), Arith: (x, x), Conn: (BoolConst(True), BoolConst(False)), FConn: (p, p)}
         with pytest.raises(ValueError):
-            node(token, *operands.get(node, ("x", p)))
+            node(token, *operands)
 
     def test_operator_of_returns_the_entry_that_built_the_node(self):
         for entry in OPERATORS:
