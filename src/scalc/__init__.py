@@ -45,7 +45,6 @@ from .state_space import (
     VarUniverse,
     build_space,
     index_to_state,
-    int_range_domain,
     state_to_index,
 )
 from .syntax import parse_arith, parse_pred, parse_program, pretty_print
@@ -92,7 +91,6 @@ __all__ = [
     "VarUniverse",
     "build_space",
     "index_to_state",
-    "int_range_domain",
     "state_to_index",
     "parse_arith",
     "parse_pred",

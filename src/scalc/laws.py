@@ -65,7 +65,7 @@ LANE_BITS = 1 << 16  # a chunk holds as many lanes as keep its widest mask withi
 @lru_cache(maxsize=None)
 def abstract_space(size: int) -> StateSpace:
     """An anonymous space with `size` states (one variable, values 0..size-1)."""
-    universe = VarUniverse((("s", Domain("s", tuple(range(size)))),))
+    universe = VarUniverse((("s", Domain("s", 0, size - 1)),))
     return build_space(universe)
 
 

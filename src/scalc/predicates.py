@@ -4,7 +4,7 @@ Arithmetic is exact 64-bit signed: any intermediate outside
 [-2^63, 2^63) evaluates to the UNDEFINED sentinel, and a comparison with an
 UNDEFINED operand is false.  `compile_arith` and `compile_pred` turn an
 expression, once per space, into a function of the state index: variable v
-reads `values[i // stride % size]`, so no valuation is ever built.  A
+reads `low + i // stride % size`, so no valuation is ever built.  A
 predicate read over a space yields a PredSet, an immutable bitmask subset of
 state indices.  `pred_to_set` builds it with mask operations: the
 connectives combine whole masks, and each atom is evaluated once per
@@ -200,9 +200,9 @@ def compile_arith(e: ArithExpr, space: StateSpace) -> Callable[[int], ArithValue
 
             return unknown
         k = space.universe.position(e.name)
-        values, stride = space.universe.vars[k][1].values, space.strides[k]
-        size = len(values)
-        return lambda i: values[i // stride % size]
+        dom, stride = space.universe.vars[k][1], space.strides[k]
+        low, size = dom.low, dom.size
+        return lambda i: low + i // stride % size
     if isinstance(e, Neg):
         return compile_arith(Arith("-", Const(0), e.operand), space)
     if not isinstance(e, Arith):
@@ -340,9 +340,10 @@ def pred_to_set(p: PredExpr, space: StateSpace) -> PredSet:
 
 def _mask(p: PredExpr, space: StateSpace, care: int, full: int) -> int:
     """A mask that agrees with p on the states in `care`.  A right operand
-    is read only where `compile_pred` would reach it, and a sub-predicate that
-    no care state reaches is not evaluated at all."""
+    is read only where `compile_pred` would reach it; a sub-predicate that no
+    care state reaches is compiled, to refuse a bad node, but not evaluated."""
     if not care:
+        compile_pred(p, space)
         return 0
     if isinstance(p, BoolConst):
         return full if p.value else 0

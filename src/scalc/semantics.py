@@ -162,21 +162,11 @@ def successors(stmt: Stmt, space: StateSpace) -> Callable[[int], tuple[int, ...]
         if isinstance(s, Assign):
             dom, stride = slot(s.var)
             value_at = compile_arith(s.expr, space)
-            low, size = dom.values[0], dom.size
-            # strictly increasing values that span size - 1 are `int a..b`
-            contiguous = dom.values[-1] - low == size - 1
+            low, size = dom.low, dom.size
 
             def assign(i: int) -> tuple[int, ...]:
                 value = value_at(i)
-                if value is UNDEFINED:
-                    return ()
-                if contiguous:
-                    k = value - low
-                    if not 0 <= k < size:
-                        return ()
-                elif value in dom:
-                    k = dom.position(value)
-                else:
+                if value is UNDEFINED or not 0 <= (k := value - low) < size:
                     return ()
                 return (i + (k - i // stride % size) * stride,)
 

@@ -23,8 +23,8 @@ A spec file groups a verification task into sections:
 Outside [program], blank lines and lines starting with `#` are ignored.
 The [program] body is handed to the parser verbatim (it has its own `//`
 comments).  [vars] entries are `name: type` with an optional `lo..hi` range
-for ints; the default int range is -128..127 and bool is the two values
-0 and 1.  [pre] defaults to `true` when absent; [post] has no default and
+of 64-bit ints; the default int range is -128..127 and bool is the two
+values 0 and 1.  [pre] defaults to `true` when absent; [post] has no default and
 commands that need it reject a spec without one.  Recognized options are
 `mode` (total|partial), `unroll`, and `max_states`.
 
@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SpecFileError
-from .predicates import PredExpr
-from .state_space import VarUniverse, int_range_domain
+from .predicates import INT64_MAX, INT64_MIN, PredExpr
+from .state_space import Domain, VarUniverse
 from .syntax import Stmt, declared_vars, parse_pred, parse_program
 
 DEFAULT_INT_RANGE = (-128, 127)
@@ -118,6 +118,8 @@ def parse_spec_text(text: str, origin: str = "<spec>") -> SpecFile:
             low, high = int(lo), int(hi)
             if low > high:
                 raise SpecFileError(f"{origin}:{lineno}: empty range {low}..{high}")
+            if low < INT64_MIN or high > INT64_MAX:
+                raise SpecFileError(f"{origin}:{lineno}: range {low}..{high} exceeds 64 bits")
         else:
             low, high = DEFAULT_INT_RANGE
         variables.append(VarSpec(name, type_name, low, high))
@@ -203,7 +205,7 @@ def build_task(spec: SpecFile) -> SpecTask:
             entries.append((name, "int", *DEFAULT_INT_RANGE))
 
     universe = VarUniverse(
-        tuple((name, int_range_domain(name, lo, hi)) for name, _, lo, hi in entries)
+        tuple((name, Domain(name, lo, hi)) for name, _, lo, hi in entries)
     )
     names = tuple(name for name, _, _, _ in entries)
     pre = parse_pred(spec.pre_text, declared=names)

@@ -1,14 +1,14 @@
 """Finite state spaces.
 
 A state space is the cartesian product of per-variable finite integer
-domains.  States are total valuations.  The whole package works with state
-*indices* wherever possible; the bijection between indices and valuations is
-row-major with the last-declared variable varying fastest.
+domains, each an interval `low..high` of 64-bit signed integers.  States are
+total valuations.  The whole package works with state *indices* wherever
+possible; the bijection between indices and valuations is row-major with the
+last-declared variable varying fastest.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 from .errors import (
@@ -24,38 +24,26 @@ DEFAULT_MAX_STATES = 1 << 24
 
 @dataclass(frozen=True)
 class Domain:
-    """A finite, strictly increasing tuple of 64-bit signed integers."""
+    """The 64-bit signed integers low..high, empty when high == low - 1.  Only
+    the two ends are stored, so a domain of any width costs the same."""
 
     name: str
-    values: tuple[int, ...]
+    low: int
+    high: int
 
     def __post_init__(self):
-        for v in self.values:
-            if not -(1 << 63) <= v < (1 << 63):
-                raise ValueError(f"domain '{self.name}': {v} exceeds 64-bit range")
-        for a, b in zip(self.values, self.values[1:]):
-            if a >= b:
-                raise ValueError(f"domain '{self.name}': values must be strictly increasing")
+        if not -(1 << 63) <= self.low <= self.high + 1 <= 1 << 63:
+            raise ValueError(f"domain '{self.name}': {self.low}..{self.high} is not a 64-bit interval")
 
     @property
     def size(self) -> int:
-        return len(self.values)
-
-    def __contains__(self, value: int) -> bool:
-        i = bisect.bisect_left(self.values, value)
-        return i < len(self.values) and self.values[i] == value
+        return self.high - self.low + 1
 
     def position(self, value: int) -> int:
         """Index of `value` within the domain; raises if absent."""
-        i = bisect.bisect_left(self.values, value)
-        if i < len(self.values) and self.values[i] == value:
-            return i
+        if self.low <= value <= self.high:
+            return value - self.low
         raise ValueNotInDomainError(self.name, value)
-
-
-def int_range_domain(name: str, low: int, high: int) -> Domain:
-    """Domain of all integers in [low, high]."""
-    return Domain(name, tuple(range(low, high + 1)))
 
 
 @dataclass(frozen=True)
@@ -154,7 +142,7 @@ def index_to_state(space: StateSpace, index: int) -> State:
     rem = index
     for (_, dom), stride in zip(space.universe.vars, space.strides):
         pos, rem = divmod(rem, stride)
-        values.append(dom.values[pos])
+        values.append(dom.low + pos)
     return State(space.universe, tuple(values))
 
 

@@ -4,12 +4,14 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from scalc import state_space
 from scalc.cli import main
+from scalc.errors import SpaceTooLargeError
 from scalc.export import MAX_EXPANDED_STATEMENTS
 from scalc.laws import DEFAULT_SEED, LAWS, check_law
 from scalc.specfile import load_task
@@ -400,6 +402,26 @@ class TestMaxStates:
         monkeypatch.setenv("SCALC_MAX_STATES", "100")
         code, _, _ = run(capsys, "verify", str(spec))
         assert code == 0
+
+    @pytest.mark.parametrize("low, high", [(0, 4_000_000), (0, 2**32 - 1), (-(2**63), 2**63 - 1)])
+    def test_an_oversized_range_is_refused_before_it_is_built(self, capsys, tmp_path, low, high):
+        spec = tmp_path / "wide.spec"
+        spec.write_text(f"[vars]\nx: int {low}..{high}\n[program]\n;\n[post]\ntrue\n")
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "verify", str(spec), "--max-states", "1000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (2, f"error: {SpaceTooLargeError(high - low + 1, 1000)}\n")
+        assert peak <= 5 << 20, peak
+
+    def test_a_range_past_64_bits_is_a_spec_error(self, capsys, tmp_path):
+        spec = tmp_path / "wide.spec"
+        spec.write_text("[vars]\nx: int 0..9223372036854775808\n[program]\n;\n[post]\ntrue\n")
+        code, _, err = run(capsys, "verify", str(spec))
+        assert code == 2
+        assert f"{spec}:2: range 0..9223372036854775808 exceeds 64 bits" in err
 
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("SCALC_MAX_STATES", "many")

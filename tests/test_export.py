@@ -30,10 +30,10 @@ from scalc.predicates import (
 )
 from scalc.semantics import denote
 from scalc.state_space import (
+    Domain,
     VarUniverse,
     build_space,
     index_to_state,
-    int_range_domain,
     state_to_index,
 )
 from scalc.syntax import (
@@ -340,7 +340,7 @@ class TestValidityByOracle:
         # finite domains kill the i=7 state (8 is out of range: total fails),
         # but over unbounded integers the increment succeeds and the document
         # is valid; the semantics metadata line records this divergence
-        space = build_space(VarUniverse((("i", int_range_domain("i", 0, 7)),)))
+        space = build_space(VarUniverse((("i", Domain("i", 0, 7)),)))
         prog = parse_program("i = i + 1;", predeclared=("i",))
         pre = parse_pred("i == 7", declared=("i",))
         post = parse_pred("i == 8", declared=("i",))
@@ -473,7 +473,7 @@ class TestAgreementWithFiniteVerifier:
         rng = random.Random(0xD0C5)
         space = build_space(
             VarUniverse(
-                tuple((v, int_range_domain(v, 0, 15)) for v in self.VARS)
+                tuple((v, Domain(v, 0, 15)) for v in self.VARS)
             )
         )
         pre = parse_pred(

@@ -219,7 +219,7 @@ def test_agreement_with_reference_evaluator():
 
 def test_agreement_on_a_space_without_states():
     # quantifiers over no state: every universal holds, every existential fails
-    sp = StateSpace(VarUniverse((("s", Domain("s", ())),)), 0, (1,))
+    sp = StateSpace(VarUniverse((("s", Domain("s", 0, -1)),)), 0, (1,))
     rng = random.Random(0x0E)
     for _ in range(200):
         f = random_formula(rng, (), rng.randrange(1, 5))

@@ -193,7 +193,7 @@ class TestRandomBindings:
         assert abs(mean - 4.5) < 0.1
 
     def test_empty_space_edge(self):
-        space = StateSpace(VarUniverse((("s", Domain("s", ())),)), 0, (1,))
+        space = StateSpace(VarUniverse((("s", Domain("s", 0, -1)),)), 0, (1,))
         assert random_predset(space, 7).size == 0
         assert random_relation(space, 7).pair_count() == 0
 

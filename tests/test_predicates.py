@@ -36,7 +36,6 @@ from scalc.state_space import (
     VarUniverse,
     build_space,
     index_to_state,
-    int_range_domain,
 )
 from scalc.syntax import parse_pred, parse_program
 
@@ -46,9 +45,9 @@ def inf_space():
     return build_space(
         VarUniverse(
             (
-                ("i", int_range_domain("i", 0, 7)),
-                ("n", int_range_domain("n", 0, 7)),
-                ("f", int_range_domain("f", 0, 31)),
+                ("i", Domain("i", 0, 7)),
+                ("n", Domain("n", 0, 7)),
+                ("f", Domain("f", 0, 31)),
             )
         )
     )
@@ -154,16 +153,16 @@ class TestEvalArith:
         assert eval_arith(Arith("*", Var("f"), Var("i")), s) == 2
 
     def test_variable_lookup(self):
-        sp = build_space(VarUniverse((("a", Domain("a", (5,))),)))
+        sp = build_space(VarUniverse((("a", Domain("a", 5, 5)),)))
         assert eval_arith(Var("a"), index_to_state(sp, 0)) == 5
 
     def test_overflow_is_undefined(self):
-        sp = build_space(VarUniverse((("x", Domain("x", (INT64_MAX,))),)))
+        sp = build_space(VarUniverse((("x", Domain("x", INT64_MAX, INT64_MAX)),)))
         s = index_to_state(sp, 0)
         assert eval_arith(Arith("+", Var("x"), Const(1)), s) is UNDEFINED
 
     def test_undefined_propagates(self):
-        sp = build_space(VarUniverse((("x", Domain("x", (INT64_MAX,))),)))
+        sp = build_space(VarUniverse((("x", Domain("x", INT64_MAX, INT64_MAX)),)))
         s = index_to_state(sp, 0)
         e = Arith("-", Arith("*", Arith("+", Var("x"), Const(1)), Const(0)), Const(3))
         assert eval_arith(e, s) is UNDEFINED
@@ -181,7 +180,7 @@ class TestEvalArith:
 
 class TestEvalPred:
     def test_postcondition_hit(self):
-        sp = build_space(VarUniverse((("a", Domain("a", (5, 10))),)))
+        sp = build_space(VarUniverse((("a", Domain("a", 9, 10)),)))
         s = index_to_state(sp, 1)
         assert eval_pred(Cmp("==", Var("a"), Const(10)), s) is True
 
@@ -205,7 +204,7 @@ class TestEvalPred:
         assert not eval_pred(Conn("<->", le, Not(eq)), s)
 
     def test_comparison_on_undefined_is_false(self):
-        sp = build_space(VarUniverse((("x", Domain("x", (INT64_MAX,))),)))
+        sp = build_space(VarUniverse((("x", Domain("x", INT64_MAX, INT64_MAX)),)))
         s = index_to_state(sp, 0)
         bump = Arith("+", Var("x"), Const(1))
         assert eval_pred(Cmp(">", bump, Const(0)), s) is False
@@ -249,16 +248,16 @@ class TestPredToSet:
         assert pred_to_set(BoolConst(False), sp).is_empty()
 
     def test_true_is_full(self):
-        sp = build_space(VarUniverse((("a", Domain("a", (1, 2, 3))),)))
+        sp = build_space(VarUniverse((("a", Domain("a", 1, 3)),)))
         s = pred_to_set(BoolConst(True), sp)
         assert s.is_full()
         assert s.count() == 3
 
     def test_enumerated_comparison(self):
-        sp = build_space(VarUniverse((("a", Domain("a", (-1, 0, 5))),)))
+        sp = build_space(VarUniverse((("a", Domain("a", -1, 1)),)))
         s = pred_to_set(Cmp(">", Var("a"), Const(0)), sp)
         assert list(s.indices()) == [2]
-        assert index_to_state(sp, 2).as_dict() == {"a": 5}
+        assert index_to_state(sp, 2).as_dict() == {"a": 1}
 
 
 def random_pred(rng, vars_, depth):
@@ -281,7 +280,7 @@ class TestSetLevelAlgebra:
     def test_de_morgan_over_random_predicates(self):
         sp = build_space(
             VarUniverse(
-                (("a", int_range_domain("a", 0, 4)), ("b", int_range_domain("b", -2, 2)))
+                (("a", Domain("a", 0, 4)), ("b", Domain("b", -2, 2)))
             )
         )
         rng = random.Random(1234)
@@ -293,7 +292,7 @@ class TestSetLevelAlgebra:
             assert lhs == rhs
 
     def test_pointwise_agreement(self):
-        sp = build_space(VarUniverse((("a", int_range_domain("a", -3, 3)),)))
+        sp = build_space(VarUniverse((("a", Domain("a", -3, 3)),)))
         rng = random.Random(99)
         for _ in range(50):
             p = random_pred(rng, ("a",), 4)
@@ -351,10 +350,15 @@ EDGE_VALUES = (INT64_MIN, INT64_MIN + 1, -2, -1, 0, 1, 3, INT64_MAX - 1, INT64_M
 
 
 def random_universe(rng):
+    """Up to four variables, each over 1 to 3 values that start at INT64_MIN,
+    end at INT64_MAX or hold 0."""
     names = rng.sample(("a", "b", "c", "d"), rng.randrange(5))
-    return VarUniverse(
-        tuple((n, Domain(n, tuple(sorted(rng.sample(EDGE_VALUES, rng.randint(1, 3)))))) for n in names)
-    )
+    domains = []
+    for n in names:
+        size = rng.randint(1, 3)
+        low = rng.choice((INT64_MIN, rng.randint(1 - size, 0), INT64_MAX - size + 1))
+        domains.append((n, Domain(n, low, low + size - 1)))
+    return VarUniverse(tuple(domains))
 
 
 def random_arith(rng, names, depth):
@@ -434,6 +438,14 @@ class TestPredToSetDifferential:
             assert pred_to_set(p, sp) == pointwise_pred_to_set(p, sp)
             assert pred_to_set(p, sp).count() == members
 
+    def test_an_unreached_subtree_still_refuses_a_node_that_is_not_a_predicate(self):
+        p = Conn("&&", BoolConst(False), PredApp("P", "a"))
+        space = build_space(VarUniverse((("a", Domain("a", 0, 1)),)))
+        for to_set in (compile_pred, pred_to_set):
+            with pytest.raises(TypeError):
+                to_set(p, space)
+        assert pred_to_set(parse_pred("false && zz == 1", declared=("zz",)), space).is_empty()
+
     def test_a_reached_unknown_variable_raises_on_both_sides(self):
         sp = inf_space()
         for text in ("true && zz == 1", "i == 3 && zz == 1", "!(zz < 0)", "i < 7 -> zz == 1 || i == 0"):
@@ -450,10 +462,6 @@ def evaluation(evaluate, *args):
         return "unknown variable"
 
 
-def contiguous(domain):
-    return domain.values[-1] - domain.values[0] == domain.size - 1
-
-
 class TestCompileDifferential:
     """`compile_arith` and `compile_pred` evaluate on the state index; the
     tree-walking `eval_arith` and `eval_pred` over a `State` are the oracle."""
@@ -462,7 +470,7 @@ class TestCompileDifferential:
         rng = random.Random(0xC0DE)
         kinds = (Const, Var, Neg, "+", "-", "*", BoolConst, Cmp, Not, "&&", "||", "->", "<->")
         seen = {kind: 0 for kind in kinds}
-        seen.update({"64-bit edge": 0, "undefined": 0, "non-contiguous": 0, "raises": 0, "unknown unreached": 0})
+        seen.update({"64-bit edge": 0, "undefined": 0, "raises": 0, "unknown unreached": 0})
         for trial in range(1000):
             universe = random_universe(rng)
             space = build_space(universe)
@@ -492,9 +500,8 @@ class TestCompileDifferential:
                 seen[kind] += 1
             seen["64-bit edge"] += any(
                 isinstance(n, Const) and n.value in (INT64_MIN, INT64_MAX) for n in below
-            ) or any({INT64_MIN, INT64_MAX} & set(d.values) for d in domains)
+            ) or any(d.low == INT64_MIN or d.high == INT64_MAX for d in domains)
             seen["undefined"] += undefined
-            seen["non-contiguous"] += any(not contiguous(d) for d in domains)
             seen["raises"] += raised
             seen["unknown unreached"] += "zz" in read and not raised
         assert min(seen.values()) >= 10, seen
@@ -546,9 +553,9 @@ class TestPredToSetWork:
         space = build_space(
             VarUniverse(
                 (
-                    ("i", int_range_domain("i", 0, 7)),
-                    ("n", int_range_domain("n", 0, 7)),
-                    ("f", int_range_domain("f", 0, 16383)),
+                    ("i", Domain("i", 0, 7)),
+                    ("n", Domain("n", 0, 7)),
+                    ("f", Domain("f", 0, 16383)),
                 )
             )
         )

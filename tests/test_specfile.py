@@ -10,7 +10,7 @@ from scalc.specfile import (
     load_task,
     parse_spec_text,
 )
-from scalc.state_space import build_space
+from scalc.state_space import Domain, build_space
 
 FULL = """\
 # factorial-style task
@@ -102,6 +102,8 @@ class TestParseErrors:
             ("[vars]\nx: int\nx: int\n[program]\n;\n", "listed twice"),
             ("[vars]\nb: bool 0..1\n[program]\n;\n", "bool variables take no range"),
             ("[vars]\nx: int 5..2\n[program]\n;\n", "empty range 5..2"),
+            ("[vars]\nx: int 0..9223372036854775808\n[program]\n;\n", "range 0..9223372036854775808 exceeds 64 bits"),
+            ("[vars]\nx: int -9223372036854775809..0\n[program]\n;\n", "range -9223372036854775809..0 exceeds 64 bits"),
             ("[options]\nmode total\n[program]\n;\n", "bad option line"),
             ("[options]\nmode = sideways\n[program]\n;\n", "mode must be total or partial"),
             ("[options]\nunroll = -1\n[program]\n;\n", "unroll must be a nonnegative integer"),
@@ -140,15 +142,14 @@ class TestBuildTask:
             parse_spec_text("[vars]\nx: int 0..1\n[program]\nint y = 1; bool c;\n")
         )
         assert task.variables == (("x", "int"), ("y", "int"), ("c", "bool"))
-        y_dom = task.universe.domain("y")
-        assert (y_dom.values[0], y_dom.values[-1]) == DEFAULT_INT_RANGE
-        assert task.universe.domain("c").values == (0, 1)
+        assert task.universe.domain("y") == Domain("y", *DEFAULT_INT_RANGE)
+        assert task.universe.domain("c") == Domain("c", 0, 1)
 
     def test_spec_listed_variable_keeps_its_range(self):
         task = build_task(
             parse_spec_text("[vars]\ny: int 0..3\n[program]\nint y = 2;\n")
         )
-        assert task.universe.domain("y").values == (0, 1, 2, 3)
+        assert task.universe.domain("y") == Domain("y", 0, 3)
 
     def test_missing_pre_is_true(self):
         task = build_task(parse_spec_text("[program]\n;\n"))

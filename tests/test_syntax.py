@@ -18,7 +18,7 @@ from scalc.predicates import (
     compile_arith,
 )
 from scalc.specfile import load_task
-from scalc.state_space import VarUniverse, build_space, int_range_domain
+from scalc.state_space import Domain, VarUniverse, build_space
 from scalc.syntax import (
     MAX_NESTING,
     Assign,
@@ -377,7 +377,7 @@ def test_a_minus_over_a_literal_prints_as_text_that_parses(k):
     # up to three minus signs over a literal, alone and under `+`: the text
     # reads back as the same tree, whose value can be UNDEFINED at the literal
     # (2**63) or at an inner negation (INT64_MIN)
-    space = build_space(VarUniverse((("x", int_range_domain("x", -2, 2)),)))
+    space = build_space(VarUniverse((("x", Domain("x", -2, 2)),)))
     tower = [Const(k)]
     while len(tower) < 4:
         tower.append(Neg(tower[-1]))
